@@ -32,10 +32,6 @@ Two series:
   the occurrence index and bucket member lists in O(its own cells).
   `session.stats()` is asserted, not inferred: every delete must be
   served by the `retire_fast` counter with zero rebuilds.
-* **parallel verification** (PR 6): `session.verify(workers=N)` routes
-  the from-scratch reference chase through the sharded parallel executor
-  on the session's cached shard plan — a worker series (1/2/4) over a
-  two-component workload with a wide bypass payload.
 
 Both strategies must agree on every final fixpoint (`canonical_form`
 compared per size; a divergence aborts the benchmark with a non-zero
@@ -53,7 +49,7 @@ from repro.bench.report import (
     loglog_slope,
     time_call,
 )
-from repro.chase import ChaseSession, canonical_form, congruence_chase
+from repro.chase import ChaseSession, canonical_form, chase
 from repro.core.fd import FDSet
 from repro.core.relation import Relation
 from repro.core.values import null
@@ -81,7 +77,7 @@ def run_rechase(schema, stream) -> Relation:
     result = None
     for row in stream.rows:
         rows.append(row)
-        result = congruence_chase(Relation(schema, rows), FDS)
+        result = chase(Relation(schema, rows), FDS)
     return result.relation
 
 
@@ -133,7 +129,7 @@ def mixed_ops(n_ops: int, seed: int = 67):
 
 def run_mixed_rechase(schema, ops) -> Relation:
     rows = []
-    result = congruence_chase(Relation(schema, ()), FDS)
+    result = chase(Relation(schema, ()), FDS)
     for kind, payload, back in ops:
         if kind == "insert":
             rows.append(payload)
@@ -145,7 +141,7 @@ def run_mixed_rechase(schema, ops) -> Relation:
             mapping = rows[index].as_dict()
             mapping[attr] = value
             rows[index] = rows[index].from_mapping(schema, mapping)
-        result = congruence_chase(Relation(schema, rows), FDS)
+        result = chase(Relation(schema, rows), FDS)
     return result.relation
 
 
@@ -160,85 +156,6 @@ def run_mixed_session(schema, ops) -> Relation:
             attr, value = payload
             session.update(len(session) - back, {attr: value})
     return session.result().relation
-
-
-# ---------------------------------------------------------------------------
-# parallel verification: the sharded executor behind session.verify(workers=)
-# ---------------------------------------------------------------------------
-
-#: two independent FD chains (one shard each) over A1..A8, leaving the
-#: trailing payload columns to the planner's bypass
-PAR_FDS = FDSet(
-    ["A3 -> A4", "A2 -> A3", "A1 -> A2", "A7 -> A8", "A6 -> A7", "A5 -> A6"]
-)
-PAR_PAYLOAD = 24
-
-
-def verification_session(n_rows: int) -> ChaseSession:
-    """A session holding full/holey row pairs over two FD components plus
-    ``PAR_PAYLOAD`` constant columns no FD mentions."""
-    schema = random_schema(8 + PAR_PAYLOAD)
-    session = ChaseSession(schema, PAR_FDS)
-    for j in range(n_rows // 2):
-        full, holey = [], []
-        for c in range(2):
-            full += [f"k{c}_{j}"] + [f"v{c}_{j}_{i}" for i in range(3)]
-            holey += [f"k{c}_{j}"] + [null() for _ in range(3)]
-        full += [f"p{j}_{i}" for i in range(PAR_PAYLOAD)]
-        holey += [f"q{j}_{i}" for i in range(PAR_PAYLOAD)]
-        session.insert(full)
-        session.insert(holey)
-    return session
-
-
-def run_verification_series(sizes):
-    worker_counts = (1, 2, 4)
-    table = Table(
-        "A2d — session.verify: serial reference chase vs chase(workers=N)",
-        ["rows", "serial (s)"]
-        + [f"workers={w} (s)" for w in worker_counts]
-        + ["speedup@2"],
-    )
-    serial_times = []
-    worker_times = {w: [] for w in worker_counts}
-    for n in sizes:
-        session = verification_session(n)
-        if not session.verify():
-            raise SystemExit(f"serial verification failed at n={n}")
-        repeat = bench_repeat(2)
-        serial_t = time_call(lambda: session.verify(), repeat=repeat)
-        serial_times.append(serial_t)
-        for w in worker_counts:
-            if not session.verify(workers=w):
-                raise SystemExit(
-                    f"parallel verification (workers={w}) failed at n={n}"
-                )
-            worker_times[w].append(
-                time_call(
-                    lambda w=w: session.verify(workers=w), repeat=repeat
-                )
-            )
-        table.add_row(
-            n,
-            serial_t,
-            *(worker_times[w][-1] for w in worker_counts),
-            f"{serial_t / worker_times[2][-1]:.1f}x",
-        )
-    table.show()
-    print()
-    print(
-        "series serial verify wall s by size: "
-        + " ".join(f"{t:.4f}" for t in serial_times)
-    )
-    for w in worker_counts:
-        print(
-            f"series parallel({w}) verify wall s by size: "
-            + " ".join(f"{t:.4f}" for t in worker_times[w])
-        )
-    print(
-        "parallel verify speedup at 2 workers at largest configuration: "
-        f"{serial_times[-1] / worker_times[2][-1]:.1f}x"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +243,7 @@ def run_retirement_series(sizes):
         same = canonical_form(slow_session.result().relation) == canonical_form(
             fast_session.result().relation
         ) and canonical_form(fast_session.result().relation) == canonical_form(
-            congruence_chase(fast_session.raw_relation(), FDS).relation
+            chase(fast_session.raw_relation(), FDS).relation
         )
         if not same:
             raise SystemExit(f"old-row-deletion fixpoints diverged at n={n}")
@@ -400,7 +317,6 @@ def main() -> None:
     )
 
     run_retirement_series(sizes)
-    run_verification_series(bench_sizes(geometric_sizes(500, 2.0, 3)))
     print(
         "\nBoth strategies agree on every fixpoint; only the maintenance"
         "\ncost differs."

@@ -6,7 +6,7 @@ footnote's unsorted O(|F|·n²) variant.
 
 Reproduced series: wall time of sort-merge vs pairwise vs bucket grouping
 (the "Additional Assumptions" refinement: dictionary grouping on X-keys,
-``O(|F|·n·p)``) over a geometric ladder of n, with log-log slopes.
+one FD at a time, ``O(|F|·n·p)``) over a geometric ladder of n, with log-log slopes.
 Expected shape: sort-merge and bucket slopes ≈ 1 (n log n reads just above
 linear), pairwise slope ≈ 2, and the gap widens with n — who wins and by
 how much is the point, not absolute seconds.  All three checkers consume
@@ -26,8 +26,8 @@ from repro.bench.report import (
 from repro.core.fd import FDSet
 from repro.testfd import (
     CONVENTION_WEAK,
+    TestFDsOutcome,
     check_fds_batched,
-    check_fds_bucket,
     check_fds_pairwise,
     check_fds_sortmerge,
 )
@@ -42,6 +42,20 @@ FDS = FDSet(["A1 -> A2", "A2 A3 -> A4", "A1 -> A5"])
 #: canonical-cover shape: one determined attribute per FD, one shared key —
 #: the workload where per-FD grouping repeats all of its X-key work
 SHARED_LHS_FDS = FDSet(["A1 -> A2", "A1 -> A3", "A1 -> A4", "A1 -> A5"])
+
+
+def per_fd_bucket(relation, fds, convention=CONVENTION_WEAK):
+    """Bucket TEST-FDs one FD at a time: a fresh X-key grouping per FD.
+
+    Batched TEST-FDs over a single FD *is* the bucket-sort variant, so this
+    is the per-FD bucket walk that batching over shared left-hand sides
+    replaces.
+    """
+    for fd in fds:
+        outcome = check_fds_batched(relation, [fd], convention)
+        if not outcome.satisfied:
+            return outcome
+    return TestFDsOutcome(True, None)
 
 
 def workload(n_rows: int, seed: int = 11):
@@ -81,7 +95,7 @@ def main() -> None:
             repeat=bench_repeat(3),
         )
         bucket_time = time_call(
-            lambda: check_fds_bucket(r, FDS, CONVENTION_WEAK),
+            lambda: per_fd_bucket(r, FDS),
             repeat=bench_repeat(3),
         )
         pair_time = time_call(
@@ -117,7 +131,7 @@ def main() -> None:
     for n in sizes:
         r = shared_lhs_workload(n)
         bucket_time = time_call(
-            lambda: check_fds_bucket(r, SHARED_LHS_FDS, CONVENTION_WEAK),
+            lambda: per_fd_bucket(r, SHARED_LHS_FDS),
             repeat=bench_repeat(3),
         )
         batched_time = time_call(

@@ -27,7 +27,6 @@ from repro.core.values import constant_key, is_null
 from repro.testfd import (
     CONVENTION_WEAK,
     check_fds_batched,
-    check_fds_bucket,
     check_fds_sortmerge,
     check_single_fd_presorted,
 )
@@ -36,6 +35,8 @@ from repro.workloads.generator import (
     random_satisfiable_instance,
     random_schema,
 )
+
+from bench_e3_testfds_scaling import per_fd_bucket
 
 FDS = FDSet(["A1 A2 -> A3", "A2 -> A4"])
 SINGLE = "A1 -> A2 A3"
@@ -98,7 +99,7 @@ def main() -> None:
     for n in sizes:
         r = workload(n)
         sm = time_call(lambda: check_fds_sortmerge(r, FDS, CONVENTION_WEAK))
-        bk = time_call(lambda: check_fds_bucket(r, FDS, CONVENTION_WEAK))
+        bk = time_call(lambda: per_fd_bucket(r, FDS))
         bucket_times.append(bk)
         table.add_row(n, sm, bk, f"{sm / bk:.2f}x")
     table.show()
@@ -116,7 +117,7 @@ def main() -> None:
     for count in bench_sizes((2, 4, 8, 16)):
         fds = shared_lhs_set(count + 1)
         r = shared_lhs_workload(count + 1, fixed_n)
-        bk = time_call(lambda: check_fds_bucket(r, fds, CONVENTION_WEAK))
+        bk = time_call(lambda: per_fd_bucket(r, fds))
         bt = time_call(lambda: check_fds_batched(r, fds, CONVENTION_WEAK))
         last_ratio = bk / bt
         table.add_row(count, bk, bt, f"{last_ratio:.2f}x")
@@ -146,7 +147,7 @@ def main() -> None:
 
 def bench_bucket_2000_rows(benchmark) -> None:
     r = workload(2000)
-    outcome = benchmark(lambda: check_fds_bucket(r, FDS, CONVENTION_WEAK))
+    outcome = benchmark(lambda: per_fd_bucket(r, FDS))
     assert outcome.satisfied
 
 

@@ -11,16 +11,18 @@ The separation is driven by the *pass count*.  Workload: an FD chain
 the FD list handed to the engine in anti-dependency order — every sweep
 then unlocks exactly one more level, so the pass-based engine performs
 Θ(p) sweeps of Θ(|F|·n) work each (quadratic in the chain width p), while
-the two worklist engines (the indexed NS-rule engine, now the default
-behind ``chase(mode="extended")``, and congruence closure) process the
-same merges from a worklist with no sweeps at all (linear in p).
+the worklist engine (the indexed NS-rule engine, the default behind
+``chase(mode="extended")``) processes the same merges from a worklist with
+no sweeps at all (linear in p).
 
-Head-to-head series (three engines, identical fixpoints checked at every
-point): (a) wall time vs chain width p at fixed n — expected log-log
-slopes ≈ 2 (sweep) vs ≈ 1 (worklist engines); (b) wall time vs n at fixed
-p — all near-linear, worklist engines ahead.  The headline number is the
-speedup of the default extended-mode chase over the legacy sweep at the
-largest configuration (the PR-1 acceptance asks for ≥5×).
+Head-to-head series (identical fixpoints checked at every point): (a) wall
+time vs chain width p at fixed n — expected log-log slopes ≈ 2 (sweep) vs
+≈ 1 (indexed); (b) wall time vs n at fixed p — both near-linear, indexed
+ahead.  The headline number is the speedup of the default extended-mode
+chase over the paper-literal sweep at the largest configuration (the PR-1
+acceptance asks for ≥5×).  (c) races the sharded executor against the
+unified engine on a multi-component workload; (d) measures cover-pruned
+planning.
 """
 
 from repro.bench.report import (
@@ -31,8 +33,8 @@ from repro.bench.report import (
     loglog_slope,
     time_call,
 )
-from repro.chase import MODE_EXTENDED, canonical_form, chase, congruence_chase
-from repro.chase.parallel import parallel_chase
+from repro.chase import ENGINE_SHARDED, MODE_EXTENDED, canonical_form, chase
+from repro.chase.parallel import sharded_chase
 from repro.chase.plan import plan_shards
 from repro.core.fd import FD
 from repro.core.relation import Relation
@@ -104,22 +106,16 @@ def chain_workload(width: int, n_rows: int) -> Relation:
 
 
 def _engines(r, fds):
-    """(sweep, indexed-default, congruence) wall times + identity check."""
+    """(sweep, indexed-default) wall times + identity check."""
     sweep = chase(r, fds, mode=MODE_EXTENDED, engine="sweep")
     fast = chase(r, fds, mode=MODE_EXTENDED)  # default path: indexed
-    cong = congruence_chase(r, fds)
-    same = (
-        canonical_form(sweep.relation)
-        == canonical_form(fast.relation)
-        == canonical_form(cong.relation)
-    )
+    same = canonical_form(sweep.relation) == canonical_form(fast.relation)
     repeat = bench_repeat(1)
     sweep_t = time_call(
         lambda: chase(r, fds, mode=MODE_EXTENDED, engine="sweep"), repeat=repeat
     )
     fast_t = time_call(lambda: chase(r, fds, mode=MODE_EXTENDED), repeat=repeat)
-    cong_t = time_call(lambda: congruence_chase(r, fds), repeat=repeat)
-    return sweep, same, sweep_t, fast_t, cong_t
+    return sweep, same, sweep_t, fast_t
 
 
 def main() -> None:
@@ -129,104 +125,83 @@ def main() -> None:
         f"E5a — chase cost vs chain width p (n = {fixed_n} rows)",
         [
             "p", "|F|", "sweep passes", "sweep (s)", "indexed (s)",
-            "congruence (s)", "indexed speedup", "same fixpoint",
+            "indexed speedup", "same fixpoint",
         ],
     )
-    sweep_times, fast_times, cong_times = [], [], []
+    sweep_times, fast_times = [], []
     largest_speedup = 0.0
     for width in widths:
         fds = chain_fds(width)
         r = chain_workload(width, fixed_n)
-        slow, same, sweep_t, fast_t, cong_t = _engines(r, fds)
+        slow, same, sweep_t, fast_t = _engines(r, fds)
         sweep_times.append(sweep_t)
         fast_times.append(fast_t)
-        cong_times.append(cong_t)
         largest_speedup = sweep_t / fast_t
         table.add_row(
-            width, len(fds), slow.passes, sweep_t, fast_t, cong_t,
+            width, len(fds), slow.passes, sweep_t, fast_t,
             f"{largest_speedup:.1f}x", same,
         )
     table.show()
     print(f"\nsweep log-log slope in p:      {loglog_slope(widths, sweep_times):.2f}  (expected ~2)")
     print(f"indexed log-log slope in p:    {loglog_slope(widths, fast_times):.2f}  (expected ~1)")
-    print(f"congruence log-log slope in p: {loglog_slope(widths, cong_times):.2f}  (expected ~1)")
     print(
         f"indexed speedup at largest configuration: {largest_speedup:.1f}x "
         "(PR-1 target: >=5x)"
-    )
-    print(
-        "congruence speedup at largest configuration: "
-        f"{sweep_times[-1] / cong_times[-1]:.1f}x "
-        "(shared-core congruence engine vs legacy sweep)"
     )
 
     sizes = bench_sizes(geometric_sizes(200, 2.0, 4))
     fixed_p = 8
     table = Table(
         f"E5b — chase cost vs n (chain width p = {fixed_p})",
-        ["n", "sweep (s)", "indexed (s)", "congruence (s)", "indexed speedup", "same fixpoint"],
+        ["n", "sweep (s)", "indexed (s)", "indexed speedup", "same fixpoint"],
     )
-    sweep_times, fast_times, cong_times = [], [], []
+    sweep_times, fast_times = [], []
     fds = chain_fds(fixed_p)
     for n in sizes:
         r = chain_workload(fixed_p, n)
-        _, same, sweep_t, fast_t, cong_t = _engines(r, fds)
+        _, same, sweep_t, fast_t = _engines(r, fds)
         sweep_times.append(sweep_t)
         fast_times.append(fast_t)
-        cong_times.append(cong_t)
-        table.add_row(
-            n, sweep_t, fast_t, cong_t, f"{sweep_t / fast_t:.1f}x", same
-        )
+        table.add_row(n, sweep_t, fast_t, f"{sweep_t / fast_t:.1f}x", same)
     table.show()
     print(f"\nsweep log-log slope in n:      {loglog_slope(sizes, sweep_times):.2f}")
     print(f"indexed log-log slope in n:    {loglog_slope(sizes, fast_times):.2f}")
-    print(f"congruence log-log slope in n: {loglog_slope(sizes, cong_times):.2f}")
     print(
         "\n(the paper's O(|F|·n³·p) is a conservative bound; measured"
         "\nbehaviour is governed by the pass count, which the anti-ordered"
-        "\nchain drives to Θ(p) — and both worklist engines avoid outright)"
+        "\nchain drives to Θ(p) — and the worklist engine avoids outright)"
     )
 
-    # E5c — the sharded parallel executor on a multi-component workload:
-    # 4 independent FD chains (one shard each) plus a wide payload of
-    # bypass columns the planner never hands to any chase engine.  The
-    # speedup is measured through the public chase(workers=N) entry point,
-    # whatever execution shape it picks for this machine (process pool on
-    # multi-core boxes, in-process vector-engine shards on single-core).
+    # E5c — the sharded executor on a multi-component workload: 4
+    # independent FD chains (one shard each, chased on the vector engine)
+    # plus a wide payload of bypass columns the planner never hands to any
+    # chase engine, against the unified indexed engine over all columns.
     n_components, comp_width, payload_cols = 4, 4, 48
     sizes = bench_sizes(geometric_sizes(1000, 2.0, 3))
-    worker_counts = (1, 2, 4)
     fds = component_fds(n_components, comp_width)
     table = Table(
-        f"E5c — sharded parallel chase ({n_components} FD components x "
+        f"E5c — sharded chase ({n_components} FD components x "
         f"{comp_width} cols + {payload_cols} bypass cols)",
-        ["n", "unified (s)"]
-        + [f"workers={w} (s)" for w in worker_counts]
-        + ["speedup@2", "same fixpoint"],
+        ["n", "unified (s)", "sharded (s)", "shard-plan speedup", "same fixpoint"],
     )
-    unified_times = []
-    worker_times = {w: [] for w in worker_counts}
+    unified_times, sharded_times = [], []
     for n in sizes:
         r = component_workload(n, n_components, comp_width, payload_cols)
         unified = chase(r, fds)
+        sharded = chase(r, fds, engine=ENGINE_SHARDED)
+        same = canonical_form(sharded.relation) == canonical_form(
+            unified.relation
+        )
         repeat = bench_repeat(2)
-        unified_t = time_call(lambda: chase(r, fds), repeat=repeat)
-        unified_times.append(unified_t)
-        same = True
-        for w in worker_counts:
-            sharded = chase(r, fds, workers=w)
-            same = same and (
-                canonical_form(sharded.relation)
-                == canonical_form(unified.relation)
-            )
-            worker_times[w].append(
-                time_call(lambda w=w: chase(r, fds, workers=w), repeat=repeat)
-            )
+        unified_times.append(time_call(lambda: chase(r, fds), repeat=repeat))
+        sharded_times.append(
+            time_call(lambda: chase(r, fds, engine=ENGINE_SHARDED), repeat=repeat)
+        )
         table.add_row(
             n,
-            unified_t,
-            *(worker_times[w][-1] for w in worker_counts),
-            f"{unified_t / worker_times[2][-1]:.1f}x",
+            unified_times[-1],
+            sharded_times[-1],
+            f"{unified_times[-1] / sharded_times[-1]:.1f}x",
             same,
         )
     table.show()
@@ -235,23 +210,21 @@ def main() -> None:
         "series unified chase wall s by size: "
         + " ".join(f"{t:.4f}" for t in unified_times)
     )
-    for w in worker_counts:
-        print(
-            f"series parallel({w}) chase wall s by size: "
-            + " ".join(f"{t:.4f}" for t in worker_times[w])
-        )
-    for w in worker_counts[1:]:
-        print(
-            f"parallel chase speedup at {w} workers at largest configuration: "
-            f"{unified_times[-1] / worker_times[w][-1]:.1f}x "
-            "(PR-6 target at 2+: >=1.5x)"
-        )
+    print(
+        "series sharded chase wall s by size: "
+        + " ".join(f"{t:.4f}" for t in sharded_times)
+    )
+    print(
+        "shard-plan speedup over unified at largest configuration: "
+        f"{unified_times[-1] / sharded_times[-1]:.1f}x "
+        "(component shards on the vector engine + column bypass)"
+    )
 
     # E5d — cover-pruned planning on a redundant FD set: the workload's
     # rules are the full transitive closure of a p-chain (p(p-1)/2 FDs),
     # which prune_fds collapses back to the (p-1)-FD chain cover.  Both
-    # sides run the same single-shard executor with a precomputed plan —
-    # the session-cached scenario — so the delta is purely the rule count
+    # sides run the same single-shard executor with a precomputed plan,
+    # so the delta is purely the rule count
     # the chase signs and fires.  Theorem 4 makes the fixpoints identical
     # (checked every point).
     widths = bench_sizes((4, 8, 16))
@@ -270,18 +243,18 @@ def main() -> None:
         r = chain_workload(width, pruned_n)
         unpruned_plan = plan_shards(r.schema, fds, prune=False)
         pruned_plan = plan_shards(r.schema, fds, prune=True)
-        baseline = parallel_chase(r, fds, workers=1, plan=unpruned_plan)
-        covered = parallel_chase(r, fds, workers=1, plan=pruned_plan)
+        baseline = sharded_chase(r, fds, plan=unpruned_plan)
+        covered = sharded_chase(r, fds, plan=pruned_plan)
         same = canonical_form(baseline.relation) == canonical_form(
             covered.relation
         )
         repeat = bench_repeat(2)
         unpruned_t = time_call(
-            lambda: parallel_chase(r, fds, workers=1, plan=unpruned_plan),
+            lambda: sharded_chase(r, fds, plan=unpruned_plan),
             repeat=repeat,
         )
         pruned_t = time_call(
-            lambda: parallel_chase(r, fds, workers=1, plan=pruned_plan),
+            lambda: sharded_chase(r, fds, plan=pruned_plan),
             repeat=repeat,
         )
         unpruned_times.append(unpruned_t)
@@ -318,13 +291,6 @@ def bench_indexed_chase_chain(benchmark) -> None:
     fds = chain_fds(12)
     r = chain_workload(12, 300)
     result = benchmark(lambda: chase(r, fds, mode=MODE_EXTENDED))
-    assert not result.has_nothing
-
-
-def bench_congruence_chase_chain(benchmark) -> None:
-    fds = chain_fds(12)
-    r = chain_workload(12, 300)
-    result = benchmark(lambda: congruence_chase(r, fds))
     assert not result.has_nothing
 
 

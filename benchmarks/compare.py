@@ -60,11 +60,11 @@ BASELINE_PATTERN = re.compile(r"^BENCH_PR(\d+)\.json$")
 TOP_LEVEL_KEYS = {"quick", "python", "platform", "benchmarks"}
 ENTRY_STATUSES = ("ok", "error", "timeout")
 
-#: metric labels a later PR *deliberately* stopped printing, with the
-#: reason — a vanished label normally means "the fast path stopped
-#: firing", so retirement must be explicit and explained here.  Keyed
-#: by (benchmark stem, label); matching vanishes are reported as info,
-#: not regressions.
+#: speedup or slope labels a later PR *deliberately* stopped printing,
+#: with the reason — a vanished label normally means "the fast path
+#: stopped firing", so retirement must be explicit and explained here.
+#: Keyed by (benchmark stem, label); matching vanishes are reported as
+#: info, not regressions.
 RETIRED_LABELS = {
     (
         "bench_q1_query",
@@ -75,6 +75,58 @@ RETIRED_LABELS = {
         "cheaper than the truth-functional pass this ratio assumed it "
         "trailed; superseded by 'least over kleene evaluation speedup "
         "at largest configuration'"
+    ),
+    (
+        "bench_e5_chase_scaling",
+        "congruence speedup at largest configuration",
+    ): (
+        "The congruence engine was deleted.  It differed from the "
+        "indexed engine only in its firing hook and ran level with it "
+        "(6.4x vs 6.5x over sweep in BENCH_PR10; 6.5x vs 5.6x at the "
+        "preceding commit on a 2-core host); 'indexed speedup at "
+        "largest configuration' stays the headline"
+    ),
+    ("bench_e5_chase_scaling", "congruence log-log slope in p"): (
+        "The congruence engine was deleted (level with indexed: "
+        "slope 0.90 vs 1.25 in BENCH_PR10); 'indexed log-log slope in p' "
+        "stays"
+    ),
+    ("bench_e5_chase_scaling", "congruence log-log slope in n"): (
+        "The congruence engine was deleted (level with indexed: "
+        "slope 1.08 vs 1.20 in BENCH_PR10); 'indexed log-log slope in n' "
+        "stays"
+    ),
+    (
+        "bench_e5_chase_scaling",
+        "parallel chase speedup at 2 workers at largest configuration",
+    ): (
+        "The process pool was deleted.  It lost to the in-process "
+        "shard plan it wrapped: at E5c's largest size 1.89 s with 2 "
+        "workers vs 1.35 s in process (at the preceding commit on a "
+        "2-core host; BENCH_PR10: 0.440 vs 0.436 s).  The win was the "
+        "shard plan's; superseded by 'shard-plan speedup over unified "
+        "at largest configuration'"
+    ),
+    (
+        "bench_e5_chase_scaling",
+        "parallel chase speedup at 4 workers at largest configuration",
+    ): (
+        "The process pool was deleted.  It lost to the in-process "
+        "shard plan it wrapped: at E5c's largest size 1.84 s with 4 "
+        "workers vs 1.35 s in process (at the preceding commit on a "
+        "2-core host; BENCH_PR10: 0.472 vs 0.436 s).  Superseded by "
+        "'shard-plan speedup over unified at largest configuration'"
+    ),
+    (
+        "bench_a2_incremental",
+        "parallel verify speedup at 2 workers at largest configuration",
+    ): (
+        "The process pool and verify's workers= option were "
+        "deleted.  At A2d's largest size pooled verification took 0.57 s "
+        "with 2 workers and 0.45 s with 4, against 0.30 s for the "
+        "in-process shard plan (at the preceding commit on a 2-core host; "
+        "BENCH_PR10: 0.142 / 0.148 vs 0.128 s).  A2d went with it: "
+        "verify is now one unified chase, which E5 times"
     ),
 }
 
@@ -197,7 +249,13 @@ def compare(
         for metric_label, base_value in base_entry.get("slopes", {}).items():
             fresh_value = fresh_entry.get("slopes", {}).get(metric_label)
             if fresh_value is None:
-                problems.append(f"{name}: slope line {metric_label!r} vanished")
+                reason = RETIRED_LABELS.get((name, metric_label))
+                if reason is not None:
+                    print(f"[compare] retired: {name}: {metric_label!r} ({reason})")
+                else:
+                    problems.append(
+                        f"{name}: slope line {metric_label!r} vanished"
+                    )
             elif abs(fresh_value - base_value) > slope_tolerance:
                 problems.append(
                     f"{name}: {metric_label!r} drifted: {fresh_value} vs "

@@ -1,17 +1,15 @@
 """NS-rule chase, NECs, congruence closure (paper section 6)."""
 
-from .congruence import CongruenceEngine, congruence_chase
 from .core import SignatureChaseCore
-from .incremental import IncrementalChase
 from .indexed import IndexedChaseState, indexed_chase
-from .parallel import parallel_chase
+from .parallel import sharded_chase
 from .plan import Shard, ShardPlan, fuse_for_rows, plan_shards, prune_fds
 from .session import ChaseSession, ReadLease, ResultAnswer, SessionSnapshot
 from .vector import VectorChaseState, vectorized_chase
 from .engine import (
     ENGINE_AUTO,
-    ENGINE_CONGRUENCE,
     ENGINE_INDEXED,
+    ENGINE_SHARDED,
     ENGINE_SWEEP,
     ENGINE_VECTOR,
     MODE_BASIC,
@@ -39,13 +37,11 @@ __all__ = [
     "ChaseResult",
     "ChaseSession",
     "ChaseState",
-    "CongruenceEngine",
     "ENGINE_AUTO",
-    "ENGINE_CONGRUENCE",
     "ENGINE_INDEXED",
+    "ENGINE_SHARDED",
     "ENGINE_SWEEP",
     "ENGINE_VECTOR",
-    "IncrementalChase",
     "IndexedChaseState",
     "MODE_BASIC",
     "MODE_EXTENDED",
@@ -63,14 +59,13 @@ __all__ = [
     "canonical_form",
     "chase",
     "church_rosser_orders",
-    "congruence_chase",
     "fuse_for_rows",
     "indexed_chase",
     "is_minimally_incomplete",
     "minimally_incomplete",
-    "parallel_chase",
     "plan_shards",
     "prune_fds",
+    "sharded_chase",
     "vectorized_chase",
     "weakly_satisfiable",
     "x_side_substitutions",

@@ -1,12 +1,12 @@
 """The shared chase-engine core: occurrence index, signature buckets,
 weighted union-find, worklist.
 
-The paper's Theorem 4 fast path and the NS-rule chase are one fixpoint; the
-worklist indexed engine (:mod:`repro.chase.indexed`) and the
-congruence-closure engine (:mod:`repro.chase.congruence`) used to compute
-it with two parallel sets of bookkeeping — a ``class → cells`` occurrence
-index on one side, signature/use-list machinery on the other.  This module
-is the single copy both now share:
+The paper's Theorem 4 fast path and the NS-rule chase are one fixpoint.
+This module holds the bookkeeping that computes it near-linearly — the
+signature-table / use-list machinery of the standard efficient congruence
+closure — shared by the one-shot indexed engine
+(:mod:`repro.chase.indexed`) and the stateful
+:class:`~repro.chase.session.ChaseSession`:
 
 1. **Precomputed projections.**  Each FD's left/right column indices are
    resolved once per state (``ChaseState._columns_of``); no
@@ -41,13 +41,11 @@ is the single copy both now share:
    bounding how often any cell can move — the near-linear bound of the
    paper's Downey-Sethi-Tarjan footnote.
 
-What *firing* means is the one thing the engines disagree on, so it is the
-one overridable hook (:meth:`SignatureChaseCore._fire`): the indexed
-engine applies the NS-rule directly (recording typed
-:class:`~repro.chase.engine.Application` entries); the congruence engine
-enqueues result-cell merges and closes over them queue-style.  Theorem 4
-(finite Church-Rosser in extended mode) is what makes the different firing
-disciplines land on the same partition; the randomized cross-engine suite
+A signature collision *fires*: the NS-rule applies directly through
+:meth:`~repro.chase.engine.ChaseState._apply_pair`, recording typed
+:class:`~repro.chase.engine.Application` entries.  Theorem 4 (finite
+Church-Rosser in extended mode) is what makes worklist order land on the
+sweep engine's partition; the randomized cross-engine suite
 (``tests/chase/test_indexed.py``) pins it field-by-field.
 """
 
@@ -68,8 +66,8 @@ Signature = Union[int, Tuple[int, ...]]
 class SignatureChaseCore(ChaseState):
     """Extended-mode chase state with the shared index/worklist machinery.
 
-    Subclasses implement :meth:`_fire` (what happens when two rows collide
-    on an FD's X-signature) and drive :meth:`run_worklist`.
+    Subclasses drive :meth:`run_worklist` (or, in the session, drain the
+    worklist op by op).
     """
 
     def __init__(self, relation: Relation, fds: Iterable[FDInput]) -> None:
@@ -193,17 +191,10 @@ class SignatureChaseCore(ChaseState):
             if trail is not None:
                 trail.append(("ancnew", (k, sig)))
         elif anchor != row:
-            self._fire(k, anchor, row)
-
-    def _fire(self, k: int, anchor: int, row: int) -> None:
-        """Two rows agree on FD ``k``'s left-hand side: act on it.
-
-        The engine-specific half of the fixpoint — NS-rule application for
-        the indexed engine, result-merge enqueueing for the congruence
-        engine.  Any class merges it causes re-enter :attr:`_work` through
-        :meth:`_on_union`.
-        """
-        raise NotImplementedError
+            # two rows agree on FD k's left-hand side: an NS-rule site.
+            # Any class merges it causes re-enter the worklist through
+            # _on_union
+            self._apply_pair(self.fds[k], anchor, row)
 
     # -- fixpoint -------------------------------------------------------------
 

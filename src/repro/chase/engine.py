@@ -54,8 +54,8 @@ STRATEGY_RANDOM = "random"
 ENGINE_AUTO = "auto"
 ENGINE_SWEEP = "sweep"
 ENGINE_INDEXED = "indexed"
-ENGINE_CONGRUENCE = "congruence"
 ENGINE_VECTOR = "vector"
+ENGINE_SHARDED = "sharded"
 
 _STRATEGIES = (STRATEGY_FD_ORDER, STRATEGY_ROUND_ROBIN, STRATEGY_RANDOM)
 
@@ -106,6 +106,21 @@ class ChaseResult:
             f"rule firings over {self.passes} passes; "
             f"{len(self.nec_classes)} NEC classes; {verdict}"
         )
+
+
+def field_identical(first: ChaseResult, second: ChaseResult) -> bool:
+    """The engine-equivalence contract as a predicate: same row values
+    (null equality is object identity), same NEC classes in the same
+    order, same substitutions, same NOTHING verdict.  See
+    ``tests/strategies.py`` for the asserting twin."""
+    return (
+        [row.values for row in first.relation.rows]
+        == [row.values for row in second.relation.rows]
+        and first.nec_classes == second.nec_classes
+        and {id(k): v for k, v in first.substitutions.items()}
+        == {id(k): v for k, v in second.substitutions.items()}
+        and first.has_nothing == second.has_nothing
+    )
 
 
 class ChaseState:
@@ -314,7 +329,8 @@ class ChaseState:
         NEC-related nulls, or *nothing* cells (all nothings are one class;
         matching through the inconsistent element is what the
         congruence-closure construction behind Theorem 4 does, so the
-        fixpoint engine does the same and the two engines agree exactly).
+        sweep engine does the same and agrees exactly with the signature
+        engines).
         """
         cells_row = self.cells[row]
         find = self.uf.find
@@ -398,7 +414,7 @@ class ChaseState:
         its earliest-created member (creation order is fixed by the input
         encoding), not whichever member happened to win the tag during
         unions.  That makes results from different engines — sweep,
-        indexed worklist, congruence closure — compare identical whenever
+        indexed worklist, vector, sharded — compare identical whenever
         their partitions agree, which Theorem 4 guarantees in extended
         mode.
         """
@@ -454,7 +470,6 @@ def chase(
     strategy: str = STRATEGY_ROUND_ROBIN,
     seed: int = 0,
     engine: str = ENGINE_AUTO,
-    workers: Optional[int] = None,
 ) -> ChaseResult:
     """Run the NS-rule chase to a fixpoint.
 
@@ -471,19 +486,13 @@ def chase(
       mode, where the order *is* the observable (Figure 5) and the
       strategy must be honored literally.
     * ``"indexed"`` — force the indexed engine (extended mode only).
-    * ``"congruence"`` — the congruence-closure engine on the same shared
-      core (extended mode only); an independently derived oracle for the
-      differential tests.
     * ``"vector"`` — the maintained-root-array engine
       (:mod:`repro.chase.vector`; extended mode only).
-    * ``"sweep"`` — force the legacy multi-pass engine (both modes).
-
-    ``workers`` routes to the sharded parallel executor
-    (:mod:`repro.chase.parallel`): FD components chase independently, one
-    worklist each, ``workers`` processes at most (``workers=1`` runs the
-    shards serially in-process).  It is extended-mode only and mutually
-    exclusive with an explicit ``engine`` — the planner itself picks the
-    per-shard engine.
+    * ``"sharded"`` — the sharded executor (:mod:`repro.chase.parallel`):
+      FD components chase independently on the vector engine and are
+      stitched back (extended mode only).
+    * ``"sweep"`` — force the paper-literal multi-pass engine (both
+      modes); the oracle the others are pinned to.
 
     All paths produce identical ``relation`` / ``nec_classes`` /
     ``substitutions`` in extended mode; ``applications`` order and the
@@ -491,34 +500,18 @@ def chase(
     """
     if strategy not in _STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    if workers is not None:
-        if mode != MODE_EXTENDED:
-            raise ValueError(
-                "the parallel chase implements the extended (Church-"
-                "Rosser) rules only; drop workers= for basic mode"
-            )
-        if engine != ENGINE_AUTO:
-            raise ValueError(
-                "workers= selects the sharded parallel executor, which "
-                "picks per-shard engines itself; drop engine="
-            )
-        from .parallel import parallel_chase  # local: avoids import cycle
-
-        return parallel_chase(relation, fds, workers=workers)
     if engine == ENGINE_AUTO:
         engine = ENGINE_INDEXED if mode == MODE_EXTENDED else ENGINE_SWEEP
-    if engine in (ENGINE_INDEXED, ENGINE_CONGRUENCE, ENGINE_VECTOR):
+    if engine in (ENGINE_INDEXED, ENGINE_VECTOR, ENGINE_SHARDED):
         if mode != MODE_EXTENDED:
             raise ValueError(
                 f"the {engine} engine implements the extended (Church-"
                 "Rosser) rules only; use engine='sweep' for basic mode"
             )
-        if engine == ENGINE_CONGRUENCE:
-            from .congruence import CongruenceEngine  # local: avoids cycle
+        if engine == ENGINE_SHARDED:
+            from .parallel import sharded_chase  # local: avoids import cycle
 
-            congruence_state = CongruenceEngine(relation, fds)
-            congruence_state.run_congruence()
-            return congruence_state.result(strategy)
+            return sharded_chase(relation, fds)
         if engine == ENGINE_VECTOR:
             from .vector import VectorChaseState  # local: avoids cycle
 

@@ -15,11 +15,11 @@ All of the bookkeeping that realizes the footnote's bound — precomputed
 projections, the occurrence index, occurrence-weighted union, per-FD
 signature buckets, the ``(fd, row)`` worklist — lives in the shared core
 (:class:`repro.chase.core.SignatureChaseCore`), which this engine shares
-with the congruence-closure engine.  What this engine adds is only the
-firing discipline: a signature collision applies the NS-rule immediately
-through the same ``_apply_pair`` / tag semantics as
-:class:`repro.chase.engine.ChaseState`, recording typed
-:class:`~repro.chase.engine.Application` entries as it goes.
+with :class:`~repro.chase.session.ChaseSession`: a signature collision
+applies the NS-rule immediately through the same ``_apply_pair`` / tag
+semantics as :class:`repro.chase.engine.ChaseState`, recording typed
+:class:`~repro.chase.engine.Application` entries as it goes.  This engine
+adds only the one-shot drive: seed every ``(fd, row)`` term and drain.
 
 Basic mode is deliberately *not* supported: there the firing order is the
 observable (Figure 5), so ``chase(mode="basic")`` keeps the
@@ -45,10 +45,6 @@ STRATEGY_WORKLIST = "worklist"
 
 class IndexedChaseState(SignatureChaseCore):
     """Extended-mode chase driven by a worklist over maintained indexes."""
-
-    def _fire(self, k: int, anchor: int, row: int) -> None:
-        """A signature collision is an NS-rule application site."""
-        self._apply_pair(self.fds[k], anchor, row)
 
     def chase_result(self) -> ChaseResult:
         return self.result(STRATEGY_WORKLIST)

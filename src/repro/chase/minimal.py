@@ -5,7 +5,7 @@ applicable: "nothing more can be said about the nulls in this state".  The
 high-level entry points here wrap the two engines:
 
 * :func:`minimally_incomplete` — chase to a fixpoint (basic or extended
-  rules, fixpoint or congruence engine);
+  rules, fixpoint or indexed engine);
 * :func:`is_minimally_incomplete` — applicability check without chasing;
 * :func:`weakly_satisfiable` — Theorem 4(b): an FD set is weakly satisfied
   in ``r`` iff the extended chase produces no *nothing* value;
@@ -21,7 +21,6 @@ from typing import Any, Iterable, List, Tuple
 from ..core.fd import FDInput
 from ..core.relation import Relation
 from ..core.values import NOTHING, is_constant, is_null
-from .congruence import congruence_chase
 from .engine import (
     MODE_BASIC,
     MODE_EXTENDED,
@@ -47,18 +46,15 @@ def minimally_incomplete(
     ``engine="fixpoint"`` runs the multi-pass sweep engine of
     :mod:`repro.chase.engine` (supports both modes and all strategies);
     ``engine="indexed"`` runs the worklist-driven indexed engine of
-    :mod:`repro.chase.indexed`; ``engine="congruence"`` runs the
-    congruence-closure engine.  The latter two are near-linear and
-    extended mode only — that is the mode Theorem 4 is about.
+    :mod:`repro.chase.indexed`, near-linear and extended mode only — that
+    is the mode Theorem 4 is about.
     """
-    if engine in ("congruence", "indexed"):
+    if engine == "indexed":
         if mode != MODE_EXTENDED:
             raise ValueError(
-                f"the {engine} engine implements the extended (Church-"
+                "the indexed engine implements the extended (Church-"
                 "Rosser) rules only; use engine='fixpoint' for basic mode"
             )
-        if engine == "congruence":
-            return congruence_chase(relation, list(fds))
         return chase(relation, fds, mode=mode, strategy=strategy, engine="indexed")
     if engine != "fixpoint":
         raise ValueError(f"unknown chase engine {engine!r}")
@@ -101,7 +97,7 @@ def is_minimally_incomplete(
 
 
 def weakly_satisfiable(
-    relation: Relation, fds: Iterable[FDInput], engine: str = "congruence"
+    relation: Relation, fds: Iterable[FDInput], engine: str = "indexed"
 ) -> bool:
     """Theorem 4(b): ``F`` is weakly satisfied in ``r`` iff the extended
     chase fixpoint contains no *nothing* value."""

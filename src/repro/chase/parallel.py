@@ -1,204 +1,53 @@
-"""Sharded parallel chase: one worklist per FD component, stitched back.
+"""Sharded chase: one engine per FD component, stitched back.
 
 The planner (:mod:`repro.chase.plan`) proves the FD components independent;
 this module exploits it.  Each shard — a column slice of the relation plus
-the FDs it owns — is chased by its own engine: the
-:class:`~repro.chase.vector.VectorChaseState` maintained-root-array engine
-in-process (``workers=1``, a single shard, single-core machines, or as the
-fallback), an :class:`~repro.chase.indexed.IndexedChaseState` worklist per
-worker across a ``multiprocessing`` pool.  Columns no FD mentions bypass
-the chase entirely.  The per-shard results are then **stitched**: row-aligned column
-splices, with the per-shard null bookkeeping remapped so the merged
+the FDs it owns — is chased by its own
+:class:`~repro.chase.vector.VectorChaseState` maintained-root-array engine,
+in process.  Columns no FD mentions bypass the chase entirely.  The
+per-shard results are then **stitched**: row-aligned column splices, with
+the per-shard null bookkeeping remapped so the merged
 :class:`~repro.chase.engine.ChaseResult` is field-identical to the
-single-threaded engines.
+single-shard engines.
 
-Two remappings make the stitch exact:
-
-* **Cross-process identity.**  A child process cannot see the parent's
-  :class:`~repro.core.values.Null` objects, so each shard's rows travel as
-  canonical-id tokens through :class:`~repro.core.codec.ValueCodec` — the
-  same codec scope encodes the payload and decodes the reply, so every id
-  resolves back to the *original* parent-side object, and the child's
-  fresh decode preserves the sharing structure (first-occurrence order is
-  deterministic on both sides).
-* **Global representative order.**  The serial engines display each NEC
-  class as its earliest-*registered* member, where registration order is
-  the row-major scan over *all* columns.  A shard only sees its own
-  columns, so its local representative can differ.  The stitcher indexes
-  every null's global first occurrence once, re-sorts class members and
-  classes by it, and rewrites any cell holding a superseded shard
-  representative — the same pass that applies substitutions and merges to
-  null occurrences in bypass columns.
-
-Constants that the codec refuses (non-JSON-scalar) and pool failures both
-degrade to the in-process path, which needs no serialization at all.
+The remapping that makes the stitch exact is the **global representative
+order**.  The serial engines display each NEC class as its
+earliest-*registered* member, where registration order is the row-major
+scan over *all* columns.  A shard only sees its own columns, so its local
+representative can differ.  The stitcher indexes every null's global first
+occurrence once, re-sorts class members and classes by it, and rewrites
+any cell holding a superseded shard representative — the same pass that
+applies substitutions and merges to null occurrences in bypass columns.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
-from ..core.codec import ValueCodec, fds_from_spec, fds_to_spec
-from ..core.fd import FD, FDInput
+from ..core.fd import FDInput
 from ..core.relation import Relation
-from ..core.schema import RelationSchema
 from ..core.tuples import Row
-from ..core.values import Null, is_null
-from ..errors import CodecError
-from .engine import MODE_EXTENDED, Application, ChaseResult
-from .indexed import IndexedChaseState
+from ..core.values import is_null
+from .engine import MODE_EXTENDED, ChaseResult
 from .plan import Shard, ShardPlan, fuse_for_rows, plan_shards
 from .vector import VectorChaseState
 
-STRATEGY_PARALLEL = "parallel"
+STRATEGY_SHARDED = "sharded"
 
 
-@dataclass
-class _ShardOutcome:
-    """One shard's chase output, in parent-process objects."""
-
-    rows: List[Tuple[Any, ...]]  # result cell values, row-aligned
-    nec_classes: List[Tuple[Null, ...]]
-    substitutions: Dict[Null, Any]
-    applications: List[Application]
-    passes: int
-
-
-def _sub_rows(relation: Relation, shard: Shard) -> List[List[Any]]:
-    return [[row.values[c] for c in shard.columns] for row in relation.rows]
-
-
-def _outcome_from_result(result: ChaseResult) -> _ShardOutcome:
-    return _ShardOutcome(
-        rows=[row.values for row in result.relation.rows],
-        nec_classes=list(result.nec_classes),
-        substitutions=dict(result.substitutions),
-        applications=list(result.applications),
-        passes=result.passes,
-    )
-
-
-def _run_shard_local(
-    relation: Relation, plan: ShardPlan, shard: Shard, vectorized: bool
-) -> _ShardOutcome:
-    sub = Relation(plan.sub_schema(shard), _sub_rows(relation, shard))
-    fds = plan.shard_fds(shard)
-    if vectorized:
-        state: Any = VectorChaseState(sub, fds)
-        state.run_vectorized()
-    else:
-        state = IndexedChaseState(sub, fds)
-        state.run_worklist()
-    return _outcome_from_result(state.result(STRATEGY_PARALLEL))
-
-
-# -- multiprocessing path -----------------------------------------------------
-
-
-def shard_payload(
+def _run_shard(
     relation: Relation, plan: ShardPlan, shard: Shard
-) -> Tuple[ValueCodec, dict]:
-    """A JSON-able description of one shard's chase job.
-
-    Raises :class:`~repro.errors.CodecError` on non-scalar constants — the
-    caller falls back to the in-process path.
-    """
-    codec = ValueCodec()
-    return codec, {
-        "name": plan.schema.name,
-        "attributes": list(shard.attributes),
-        "fds": fds_to_spec(plan.shard_fds(shard)),
-        "rows": [
-            codec.encode_row([row.values[c] for c in shard.columns])
-            for row in relation.rows
-        ],
-    }
-
-
-def chase_shard_remote(payload: dict) -> dict:
-    """Chase one encoded shard; runs in a worker process (top-level, so
-    every ``multiprocessing`` start method can import it)."""
-    schema = RelationSchema(payload["name"], payload["attributes"])
-    codec = ValueCodec()
-    rows = [codec.decode_row(tokens) for tokens in payload["rows"]]
-    state = IndexedChaseState(
-        Relation(schema, rows), fds_from_spec(payload["fds"])
+) -> ChaseResult:
+    rows = [[row.values[c] for c in shard.columns] for row in relation.rows]
+    state = VectorChaseState(
+        Relation(plan.sub_schema(shard), rows), plan.shard_fds(shard)
     )
-    state.run_worklist()
-    result = state.result(STRATEGY_PARALLEL)
-    fd_pos = {id(fd): k for k, fd in enumerate(state.fds)}
-    return {
-        "rows": [codec.encode_row(row.values) for row in result.relation.rows],
-        "nec": [
-            [codec.id_of(member) for member in cls]
-            for cls in result.nec_classes
-        ],
-        "subs": [
-            [codec.id_of(null_obj), codec.encode(value)]
-            for null_obj, value in result.substitutions.items()
-        ],
-        "apps": [
-            [fd_pos[id(app.fd)], app.first_row, app.second_row,
-             app.attribute, app.action]
-            for app in result.applications
-        ],
-        "passes": result.passes,
-    }
-
-
-def decode_outcome(
-    codec: ValueCodec, shard_fds: Sequence[FD], reply: dict
-) -> _ShardOutcome:
-    """Resolve a worker reply back to parent-process objects through the
-    codec scope that built the payload."""
-    return _ShardOutcome(
-        rows=[tuple(codec.decode_row(tokens)) for tokens in reply["rows"]],
-        nec_classes=[
-            tuple(codec.object_of(member) for member in cls)
-            for cls in reply["nec"]
-        ],
-        substitutions={
-            codec.object_of(canonical): codec.decode(token)
-            for canonical, token in reply["subs"]
-        },
-        applications=[
-            Application(shard_fds[k], first, second, attribute, action)
-            for k, first, second, attribute, action in reply["apps"]
-        ],
-        passes=reply["passes"],
-    )
-
-
-def _run_shards_pooled(
-    relation: Relation, plan: ShardPlan, workers: int
-) -> List[_ShardOutcome]:
-    """Chase every shard across a process pool.
-
-    Raises ``CodecError`` (non-scalar constants) or ``OSError``/
-    ``ImportError`` (pool creation) for the caller's fallback.
-    """
-    import multiprocessing
-
-    jobs = [shard_payload(relation, plan, shard) for shard in plan.shards]
-    if "fork" in multiprocessing.get_all_start_methods():
-        context = multiprocessing.get_context("fork")
-    else:  # pragma: no cover - platform-dependent
-        context = multiprocessing.get_context()
-    with context.Pool(processes=min(workers, len(jobs))) as pool:
-        replies = pool.map(chase_shard_remote, [payload for _, payload in jobs])
-    return [
-        decode_outcome(codec, plan.shard_fds(shard), reply)
-        for (codec, _), shard, reply in zip(jobs, plan.shards, replies)
-    ]
-
-
-# -- stitching ----------------------------------------------------------------
+    state.run_vectorized()
+    return state.result(STRATEGY_SHARDED)
 
 
 def _stitch(
-    relation: Relation, plan: ShardPlan, outcomes: Sequence[_ShardOutcome]
+    relation: Relation, plan: ShardPlan, outcomes: Sequence[ChaseResult]
 ) -> ChaseResult:
     schema = relation.schema
     # global first-occurrence order of every null object (row-major over
@@ -236,13 +85,13 @@ def _stitch(
 
     rows: List[Row] = []
     pairs = [
-        (shard.columns, outcome.rows)
+        (shard.columns, outcome.relation.rows)
         for shard, outcome in zip(plan.shards, outcomes)
     ]
     for index, row in enumerate(relation.rows):
         values = list(row.values)
         for columns, shard_rows in pairs:
-            shard_values = shard_rows[index]
+            shard_values = shard_rows[index].values
             for position, col in enumerate(columns):
                 values[col] = shard_values[position]
         for col, value in enumerate(values):
@@ -259,77 +108,29 @@ def _stitch(
         ],
         passes=sum(outcome.passes for outcome in outcomes),
         mode=MODE_EXTENDED,
-        strategy=STRATEGY_PARALLEL,
+        strategy=STRATEGY_SHARDED,
     )
 
 
-# -- entry point --------------------------------------------------------------
-
-
-def parallel_chase(
+def sharded_chase(
     relation: Relation,
     fds: Iterable[FDInput],
-    workers: Optional[int] = None,
     plan: Optional[ShardPlan] = None,
-    processes: Optional[bool] = None,
 ) -> ChaseResult:
     """Chase via component shards, field-identical to the serial engines.
 
-    ``workers`` — pool size; ``None`` means one per CPU, ``1`` forces the
-    in-process path.  ``plan`` — a cached structural plan for this schema
-    and FD list (``plan.fds`` is then authoritative; sessions pass their
-    cached plan here).  ``processes`` — three-valued test/ops hook: ``None``
-    decides automatically, ``False`` forbids process pools, ``True``
-    requires them (errors propagate instead of degrading).
+    ``plan`` — a precomputed structural plan for this schema and FD list
+    (``plan.fds`` is then authoritative); without one the cover-pruned
+    plan is computed here.
     """
     if plan is None:
-        # no cached plan: pay the (cheap, schema-level) cover pruning —
-        # an equivalent FD set chases to the identical fixpoint with
-        # fewer signature streams and firings
+        # pay the (cheap, schema-level) cover pruning — an equivalent FD
+        # set chases to the identical fixpoint with fewer signature
+        # streams and firings
         plan = plan_shards(relation.schema, fds, prune=True)
     effective = fuse_for_rows(plan, relation.rows)
-    shards = effective.shards
-    if not shards:
-        # no FDs constrain anything: the input is already the fixpoint
-        rows = [Row(relation.schema, row.values) for row in relation.rows]
-        return ChaseResult(
-            relation=Relation(relation.schema, rows),
-            nec_classes=[],
-            substitutions={},
-            applications=[],
-            passes=1,
-            mode=MODE_EXTENDED,
-            strategy=STRATEGY_PARALLEL,
-        )
-    if workers is not None and workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    pool_size = workers if workers is not None else (os.cpu_count() or 1)
-    # a process pool only pays when there are several shards to spread AND
-    # several cores to spread them over; on a single-core machine the fork
-    # and serialization overhead is pure loss, so the auto path stays
-    # in-process there (where sharding still wins from column bypass and
-    # the per-shard vector engine)
-    use_pool = processes is True or (
-        processes is None
-        and len(shards) > 1
-        and pool_size > 1
-        and (os.cpu_count() or 1) > 1
-    )
-    outcomes: Optional[List[_ShardOutcome]] = None
-    if use_pool:
-        if processes is True:
-            outcomes = _run_shards_pooled(relation, effective, pool_size)
-        else:
-            try:
-                outcomes = _run_shards_pooled(relation, effective, pool_size)
-            except (CodecError, OSError, ImportError, PermissionError):
-                outcomes = None  # degrade to the in-process path
-    if outcomes is None:
-        # in-process shards run on the vector engine: its maintained root
-        # arrays beat the worklist engine on dense shards, and the one-shard
-        # degenerate case becomes exactly the vectorized signature fallback
-        outcomes = [
-            _run_shard_local(relation, effective, shard, vectorized=True)
-            for shard in shards
-        ]
+    outcomes = [
+        _run_shard(relation, effective, shard) for shard in effective.shards
+    ]
+    # no shards (no FDs constrain anything) stitches the input unchanged
     return _stitch(relation, effective, outcomes)

@@ -1,4 +1,4 @@
-"""Shard planning for the parallel chase: FD connected components.
+"""Shard planning for the sharded chase: FD connected components.
 
 Two FDs can only ever exchange information through a shared attribute: a
 firing of ``X -> Y`` merges classes of cells in ``X ∪ Y`` columns, and a
@@ -18,7 +18,7 @@ One instance-level caveat: a single :class:`~repro.core.values.Null`
 *object* occurring in FD columns of two different components couples them —
 grounding it in one component must show through the other component's
 signatures.  That is a property of the *rows*, not the schema, so the
-structural plan (cacheable by sessions) is refined per call by
+structural plan (reusable across instances) is refined per call by
 :func:`fuse_for_rows`, which scans the instance once and fuses any shards
 bridged by a shared null.  Nulls shared between a shard and bypass columns
 need no fusion — bypass cells are repaired from the shard's substitutions
@@ -162,8 +162,8 @@ def plan_shards(
 ) -> ShardPlan:
     """The structural plan: components of the FD attribute graph.
 
-    Depends only on the schema and FD set, so sessions cache it across
-    mutations; instance-level null sharing is handled separately by
+    Depends only on the schema and FD set, so one plan serves every
+    instance of the schema; instance-level null sharing is handled separately by
     :func:`fuse_for_rows`.  With ``prune=True`` the FD set is first
     rewritten to an equivalent cover (:func:`prune_fds`) — same fixpoint,
     fewer rules to sign and fire; the pruned-away inputs are recorded in

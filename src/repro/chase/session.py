@@ -3,8 +3,7 @@
 The paper's artifacts are all views of one object — the unique minimally
 incomplete instance of Theorem 4 — but the library used to expose it
 through disconnected surfaces: one-shot :func:`repro.chase.chase`,
-insert-only :class:`repro.chase.IncrementalChase`, re-chase-from-scratch
-:class:`repro.updates.GuardedRelation`, and stateless
+re-chase-from-scratch :class:`repro.updates.GuardedRelation`, and stateless
 :func:`repro.testfd.check_fds`.  :class:`ChaseSession` is the long-lived
 production shape behind all of them: it owns the raw tuples *and* the
 maintained Theorem-4 fixpoint, and keeps the two in lock-step across the
@@ -79,7 +78,7 @@ from ..core.tuples import Row
 from ..core.values import NOTHING, Null, is_null
 from ..errors import ReproError, SchemaError
 from .core import SignatureChaseCore
-from .engine import _TAG_CONST, _TAG_NOTHING, ChaseResult
+from .engine import _TAG_CONST, _TAG_NOTHING, ChaseResult, chase, field_identical
 
 
 class ResultAnswer(ChaseResult):
@@ -205,7 +204,6 @@ class ChaseSession(SignatureChaseCore):
         fds: Iterable[FDInput],
         rows: Iterable[Sequence[Any] | Row] = (),
         fast_retire: bool = True,
-        workers: Optional[int] = None,
         sanitize: Optional[bool] = None,
     ) -> None:
         #: opt-in invariant sweep after every public mutation
@@ -225,11 +223,6 @@ class ChaseSession(SignatureChaseCore):
         #: ``False`` forces the PR-3 rewind/rebuild discipline (kept as a
         #: switch so benchmarks and differential tests can race the two)
         self._fast_retire = fast_retire
-        #: worker count for sharded verification re-chases (``None`` keeps
-        #: them serial); the structural shard plan is computed once per FD
-        #: set and cached — :meth:`set_fds` re-plans
-        self.workers = workers
-        self._plan: Optional[Any] = None
         #: op-outcome counters, kept across rebuilds (see :meth:`stats`)
         self._stats: Dict[str, int] = {
             "retire_fast": 0,
@@ -272,12 +265,7 @@ class ChaseSession(SignatureChaseCore):
         #: (an explicit rollback may cross it — reverting is its job).
         self._ratchet_mark = 0
 
-    # -- firing discipline -------------------------------------------------
-
-    def _fire(self, k: int, anchor: int, row: int) -> None:
-        """A signature collision applies the NS-rule directly (the indexed
-        engine's discipline; Theorem 4 makes the order unobservable)."""
-        self._apply_pair(self.fds[k], anchor, row)
+    # -- worklist ----------------------------------------------------------
 
     def _drain(self) -> None:
         """Run the dirtied terms to fixpoint (one op = one 'pass')."""
@@ -733,28 +721,12 @@ class ChaseSession(SignatureChaseCore):
         self._ratchet_mark = len(trail)
         return committed
 
-    # -- shard planning and verification -----------------------------------
-
-    def plan(self):
-        """The cached structural shard plan for this schema and FD set
-        (:func:`repro.chase.plan.plan_shards`): FD components, their
-        columns, and the bypass columns no FD touches.  Cover-pruned
-        (``plan.dropped`` lists the redundant FDs) — the pruned set is
-        Armstrong-equivalent, so every verification chase it feeds
-        reaches the same fixpoint.  Computed lazily, reused across
-        mutations (it depends only on schema + FDs), and invalidated by
-        :meth:`set_fds`."""
-        if self._plan is None:
-            from .plan import plan_shards  # local: avoids import cycle
-
-            self._plan = plan_shards(self.schema, self.fds, prune=True)
-        return self._plan
+    # -- FD changes and verification ---------------------------------------
 
     @_audited
     def set_fds(self, fds: Iterable[FDInput]) -> None:
         """Swap the session's FD set and re-chase (level rebuild).
 
-        The cached shard plan is dropped and re-planned on next use.
         Refused on journalled sessions (the durable layer fixes a
         relation's FD set at create time — its WAL records carry no FD
         changes).  Snapshots taken under the old FD set remain honored,
@@ -767,38 +739,14 @@ class ChaseSession(SignatureChaseCore):
             )
         normalized = [as_fd(fd).validate(self.schema).normalized() for fd in fds]
         self.fds = normalized
-        self._plan = None
         self._rebuild(list(self._raw_rows))
 
-    def verify(self, workers: Optional[int] = None) -> bool:
+    def verify(self) -> bool:
         """Re-chase the raw rows from scratch and compare field-by-field
         against the maintained fixpoint — the session invariant, on demand.
-
-        ``workers`` selects the sharded parallel executor for the
-        reference chase (defaulting to the session's ``workers``; ``None``
-        keeps it serial), reusing the cached structural plan.
         """
-        from .engine import chase  # local: avoids import cycle
-
-        if workers is None:
-            workers = self.workers
-        if workers is None:
-            reference = chase(self.raw_relation(), list(self.fds))
-        else:
-            from .parallel import parallel_chase  # local: avoids cycle
-
-            reference = parallel_chase(
-                self.raw_relation(), self.fds, workers=workers, plan=self.plan()
-            )
-        mine = self.result()
-        return (
-            [row.values for row in mine.relation.rows]
-            == [row.values for row in reference.relation.rows]
-            and mine.nec_classes == reference.nec_classes
-            and {id(k): v for k, v in mine.substitutions.items()}
-            == {id(k): v for k, v in reference.substitutions.items()}
-            and mine.has_nothing == reference.has_nothing
-        )
+        reference = chase(self.raw_relation(), list(self.fds))
+        return field_identical(self.result(), reference)
 
     # -- snapshots ---------------------------------------------------------
 

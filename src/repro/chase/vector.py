@@ -1,7 +1,7 @@
 """Vectorized signature recomputation for the dense single-component case.
 
 When every FD touches every other FD's attributes, the shard planner
-degenerates to one component and parallelism buys nothing.  This engine is
+degenerates to one component and sharding buys nothing.  This engine is
 the second attack route: instead of the worklist's per-``(fd, row)``
 signature dict (:class:`~repro.chase.core.SignatureChaseCore`), it keeps a
 **flat integer array of class roots per column** (stdlib ``array('q')``;

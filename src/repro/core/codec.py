@@ -29,7 +29,7 @@ NOTHING state.  This module is the codec layer the durable subsystem
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Sequence
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from ..errors import CodecError
 from .domain import Domain
@@ -82,6 +82,11 @@ class ValueCodec:
         """Fast-forward the id counter (checkpoint recovery)."""
         if value > self._next:
             self._next = value
+
+    def known_id(self, null_obj: Null) -> Optional[str]:
+        """The canonical id of a null this scope has named, or ``None``
+        (never mints — the identity-safe ownership test)."""
+        return self._ids.get(id(null_obj))
 
     def id_of(self, null_obj: Null) -> str:
         """The canonical id of a null, assigning one on first encounter."""

@@ -61,7 +61,6 @@ class ReproServer:
         path: Union[str, Path],
         sync: str = SYNC_FSYNC,
         create: bool = False,
-        workers: Optional[int] = None,
         window_s: float = 0.0,
         max_batch: int = 512,
         checkpoint_wal_ops: Optional[int] = None,
@@ -71,7 +70,6 @@ class ReproServer:
         self.path = Path(path)
         self.sync = sync
         self.create = create
-        self.workers = workers
         self.window_s = window_s
         self.max_batch = max_batch
         self.checkpoint_wal_ops = checkpoint_wal_ops
@@ -90,7 +88,6 @@ class ReproServer:
             self.path,
             sync=self.sync,
             create=self.create,
-            workers=self.workers,
             exclusive=True,
         )
         self._catalog_lock = asyncio.Lock()
@@ -433,29 +430,39 @@ class ReproServer:
         else:
             loop = asyncio.get_running_loop()
             result = await loop.run_in_executor(None, materialize_and_evaluate)
-        # back on the loop: enrich provenance with durable null ids and
-        # encode each null with the codec of the relation it came from
+        # back on the loop: encode each null with the id its owning
+        # relation's codec gave it, and enrich provenance with that id.
+        # Ownership goes by identity — labels are display names that
+        # repeat across relations — and ids are relation-scoped, so an id
+        # that would name two different unknowns in one answer is
+        # qualified with the relation name
         provenance: Dict[str, dict] = {}
         for answer in (result.certain, result.maybe):
             provenance.update(answer.provenance)
-        null_codecs: Dict[str, Any] = {}
+        scanned = [db.relation(name) for name in known]
+        tokens: Dict[int, dict] = {}
+        holders: Dict[str, int] = {}  # wire name -> id() of its null
         for answer in (result.certain, result.maybe):
             for row in answer.rows:
                 for value in row:
-                    if not is_null(value):
+                    if not is_null(value) or id(value) in tokens:
                         continue
-                    record = provenance.get(value.label)
-                    origin = record.get("relation") if record else None
-                    if origin is None:
-                        continue
-                    token = db.relation(origin).encode_value(value)
-                    if isinstance(token, dict) and "n" in token:
-                        record["id"] = token["n"]
-                        null_codecs[value.label] = token
+                    for relation in scanned:
+                        canonical = relation.null_id(value)
+                        if canonical is None:
+                            continue
+                        name = canonical
+                        while holders.setdefault(name, id(value)) != id(value):
+                            name = f"{relation.name}.{name}"
+                        tokens[id(value)] = {"n": name}
+                        record = provenance.get(value.label)
+                        if record and record.get("relation") == relation.name:
+                            record["id"] = canonical
+                        break
 
         def encode(value: Any) -> Any:
             if is_null(value):
-                return null_codecs.get(value.label, {"n": value.label})
+                return tokens.get(id(value), {"n": value.label})
             return value
 
         payload = result.to_payload(encode)

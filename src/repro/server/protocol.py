@@ -51,6 +51,13 @@ from ..errors import ReproError
 # the linter, and the server agree on it by construction
 from ..opschema import MUTATION_VERBS, QUERY_VERB, READ_VERBS  # noqa: F401
 
+#: longest request line the server reads (asyncio's default stream
+#: limit, made explicit); a longer line is refused and ends the connection
+REQUEST_LINE_LIMIT = 64 * 1024
+#: longest response line the client reads: a ``result`` of a few
+#: thousand rows easily outgrows asyncio's 64 KiB default
+RESPONSE_LINE_LIMIT = 64 * 1024 * 1024
+
 
 def decode_cell(relation: ManagedRelation, token: Any) -> Any:
     """One wire cell → an engine value (``{"n": null}`` mints a null)."""
@@ -200,7 +207,9 @@ async def run_tcp(server: Any, host: str, port: int) -> "asyncio.AbstractServer"
 
     Each request line becomes its own task, so a slow detached read never
     heads-of-line-blocks the ops pipelined behind it; a per-connection
-    lock keeps response lines whole.
+    lock keeps response lines whole.  A line longer than
+    :data:`REQUEST_LINE_LIMIT` gets one ``id: null`` refusal; the
+    connection then closes once the requests before it are answered.
     """
 
     async def on_connection(
@@ -226,6 +235,7 @@ async def run_tcp(server: Any, host: str, port: int) -> "asyncio.AbstractServer"
             except (ConnectionError, RuntimeError):
                 pass  # client went away mid-response
 
+        refusal: Optional[dict] = None
         try:
             while True:
                 line = await reader.readline()
@@ -238,15 +248,28 @@ async def run_tcp(server: Any, host: str, port: int) -> "asyncio.AbstractServer"
                 task.add_done_callback(in_flight.discard)
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
+        except ValueError:  # the line outran the stream limit
+            refusal = {
+                "id": None,
+                "ok": False,
+                "error": f"request line exceeds {REQUEST_LINE_LIMIT} bytes",
+            }
         if in_flight:
             await asyncio.gather(*in_flight, return_exceptions=True)
+        if refusal is not None:
+            try:
+                await respond(refusal)
+            except (ConnectionError, RuntimeError):
+                pass  # client went away before the refusal
         writer_stream.close()
         try:
             await writer_stream.wait_closed()
         except ConnectionError:  # pragma: no cover - racing disconnect
             pass
 
-    return await asyncio.start_server(on_connection, host, port)
+    return await asyncio.start_server(
+        on_connection, host, port, limit=REQUEST_LINE_LIMIT
+    )
 
 
 class Client:
@@ -273,7 +296,9 @@ class Client:
 
     @classmethod
     async def connect(cls, host: str, port: int) -> "Client":
-        reader, writer = await asyncio.open_connection(host, port)
+        reader, writer = await asyncio.open_connection(
+            host, port, limit=RESPONSE_LINE_LIMIT
+        )
         client = cls(reader, writer)
         client._pump = asyncio.get_running_loop().create_task(client._read_loop())
         return client

@@ -18,12 +18,11 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Mapping, Optional
 
-from ..core.fd import FDInput
+from ..core.fd import FDInput, as_fd
 from ..core.relation import Relation
 from ..core.values import Null, is_null
-from ..errors import ConventionError, NotMinimallyIncompleteError
+from ..errors import NotMinimallyIncompleteError
 from .batched import check_fds_batched
-from .bucket import check_fds_bucket, check_single_fd_presorted
 from .conventions import (
     CONVENTION_STRONG,
     CONVENTION_WEAK,
@@ -32,7 +31,7 @@ from .conventions import (
     y_unequal,
 )
 from .pairwise import CheckAnswer, TestFDsOutcome, Witness, check_fds_pairwise
-from .sortmerge import check_fds_sortmerge
+from .sortmerge import check_fds_sortmerge, check_single_fd_presorted
 
 __all__ = [
     "CONVENTION_STRONG",
@@ -42,7 +41,6 @@ __all__ = [
     "Witness",
     "check_fds",
     "check_fds_batched",
-    "check_fds_bucket",
     "check_fds_pairwise",
     "check_fds_sortmerge",
     "check_single_fd_presorted",
@@ -64,21 +62,18 @@ def check_fds(
     """Run TEST-FDs with the requested convention and method.
 
     ``method``: ``"sortmerge"`` (Figure 3), ``"pairwise"`` (the footnote's
-    O(n²) variant), ``"bucket"`` (the bucket-sort variant), ``"batched"``
-    (bucket batched over shared left-hand sides: one grouping per distinct
-    X decides every ``X -> Y_i``), or ``"auto"``.
+    O(n²) variant, the oracle), ``"batched"`` (the bucket-sort variant,
+    batched over shared left-hand sides: one hash grouping per distinct X
+    decides every ``X -> Y_i``), or ``"auto"``.
 
-    ``"auto"`` is batching-aware: when at least two FDs share a left-hand
-    side (as a column set) and grouping is convention-safe — always under
-    the weak convention; under the strong convention only when every
-    non-trivial LHS is null-free in the instance — it routes to
-    ``batched``, amortizing the X-key work across the group.  Otherwise it
-    runs sort-merge, falling back to pairwise for the strong convention on
-    instances with left-hand-side nulls.  Every route preserves the
-    documented witness contract: a *no* answer carries an honest violating
-    pair under the convention's comparisons (the variants may differ in
-    *which* honest pair they report; callers that need a specific
-    variant's witness should name the method).
+    ``"auto"`` runs ``batched`` whenever the convention allows grouping —
+    always under the weak convention; under the strong convention only
+    when every non-trivial LHS is null-free in the instance — and
+    ``pairwise`` otherwise.  Every route preserves the documented witness
+    contract: a *no* answer carries an honest violating pair under the
+    convention's comparisons (the variants may differ in *which* honest
+    pair they report; callers that need a specific variant's witness
+    should name the method).
 
     For the weak convention, Theorem 3 requires a minimally incomplete
     instance; ``ensure_minimal=True`` chases first (basic NS-rules; the
@@ -104,51 +99,35 @@ def check_fds(
         return check_fds_sortmerge(relation, fd_list, convention, null_classes)
     if method == "pairwise":
         return check_fds_pairwise(relation, fd_list, convention, null_classes)
-    if method == "bucket":
-        return check_fds_bucket(relation, fd_list, convention, null_classes)
     if method == "batched":
         return check_fds_batched(relation, fd_list, convention, null_classes)
     if method != "auto":
         raise ValueError(f"unknown TEST-FDs method {method!r}")
 
-    if _batching_pays(relation, fd_list, convention):
+    if _grouping_allowed(relation, fd_list, convention):
         return check_fds_batched(relation, fd_list, convention, null_classes)
-    try:
-        return check_fds_sortmerge(relation, fd_list, convention, null_classes)
-    except ConventionError:
-        return check_fds_pairwise(relation, fd_list, convention, null_classes)
+    return check_fds_pairwise(relation, fd_list, convention, null_classes)
 
 
-def _batching_pays(
+def _grouping_allowed(
     relation: Relation, fds: Iterable[FDInput], convention: str
 ) -> bool:
-    """Should ``auto`` route to the shared-LHS batched variant?
+    """Can the batched variant group rows by X-key under ``convention``?
 
-    True when some left-hand side (as a column set) recurs — that is when
-    batching actually amortizes anything — and the batched grouping is
-    convention-safe: under the strong convention nulls cannot be grouped,
-    so every non-trivial LHS column must be null-free in the instance
-    (matching the :class:`~repro.errors.ConventionError` contract of the
-    grouping variants rather than racing it).
+    Always under the weak convention.  Under the strong convention a null
+    compares equal to everything, so no key grouping realizes it: every
+    non-trivial LHS column must be null-free in the instance (matching
+    the :class:`~repro.errors.ConventionError` contract of
+    :func:`check_fds_batched` rather than racing it).
     """
-    from ..core.fd import as_fd as _as_fd
-
-    groups: set = set()
-    seen_shared = False
-    lhs_columns: set = set()
-    for fd in fds:
-        fd = _as_fd(fd).normalized()
-        if fd.is_trivial():
-            continue
-        cols = frozenset(relation.schema.position(a) for a in fd.lhs)
-        if cols in groups:
-            seen_shared = True
-        groups.add(cols)
-        lhs_columns |= cols
-    if not seen_shared:
-        return False
-    if convention == CONVENTION_STRONG and any(
+    if convention != CONVENTION_STRONG:
+        return True
+    lhs_columns = {
+        relation.schema.position(attr)
+        for fd in (as_fd(f).normalized() for f in fds)
+        if not fd.is_trivial()
+        for attr in fd.lhs
+    }
+    return not any(
         is_null(row.values[c]) for row in relation.rows for c in lhs_columns
-    ):
-        return False
-    return True
+    )

@@ -1,27 +1,19 @@
-"""Tests for the incremental chase: fixpoint maintenance across inserts."""
+"""Insert-only fixpoint maintenance on :class:`ChaseSession`: a stream of
+inserts keeps the Theorem-4 fixpoint, equal to the batch chase."""
 
 import warnings
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chase import ChaseSession, IncrementalChase, canonical_form, congruence_chase
+from repro.chase import ChaseSession, canonical_form, chase
 from repro.core.relation import Relation
 from repro.core.values import NOTHING, null
 
-from ..helpers import rel, schema_of
-
-# this suite exercises the deprecated alias on purpose; the deprecation
-# itself is pinned by TestDeprecation below
-pytestmark = pytest.mark.filterwarnings("ignore:repro:DeprecationWarning")
+from ..helpers import schema_of
 
 
 class TestDeprecation:
-    def test_incremental_chase_warns_on_construction(self):
-        with pytest.warns(DeprecationWarning, match="IncrementalChase is deprecated"):
-            IncrementalChase(schema_of("A B"), ["A -> B"])
-
     def test_chase_session_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
@@ -32,52 +24,52 @@ class TestDeprecation:
 
 class TestBasics:
     def test_empty_start(self):
-        inc = IncrementalChase(schema_of("A B"), ["A -> B"])
-        assert len(inc) == 0
-        assert not inc.has_nothing
+        session = ChaseSession(schema_of("A B"), ["A -> B"])
+        assert len(session) == 0
+        assert not session.has_nothing
 
     def test_single_insert(self):
-        inc = IncrementalChase(schema_of("A B"), ["A -> B"])
-        inc.insert(("a", 1))
-        assert len(inc) == 1
-        assert inc.current().relation[0]["B"] == 1
+        session = ChaseSession(schema_of("A B"), ["A -> B"])
+        session.insert(("a", 1))
+        assert len(session) == 1
+        assert session.result().relation[0]["B"] == 1
 
     def test_substitution_on_insert(self):
-        inc = IncrementalChase(schema_of("A B"), ["A -> B"])
-        inc.insert(("a", null()))
-        inc.insert(("a", "b1"))
-        assert inc.current().relation[0]["B"] == "b1"
+        session = ChaseSession(schema_of("A B"), ["A -> B"])
+        session.insert(("a", null()))
+        session.insert(("a", "b1"))
+        assert session.result().relation[0]["B"] == "b1"
 
     def test_nec_on_insert(self):
-        inc = IncrementalChase(schema_of("A B"), ["A -> B"])
-        inc.insert(("a", null()))
-        inc.insert(("a", null()))
-        result = inc.current()
+        session = ChaseSession(schema_of("A B"), ["A -> B"])
+        session.insert(("a", null()))
+        session.insert(("a", null()))
+        result = session.result()
         assert result.relation[0]["B"] is result.relation[1]["B"]
 
     def test_conflict_detection_live(self):
-        inc = IncrementalChase(schema_of("A B"), ["A -> B"])
-        inc.insert(("a", 1))
-        assert not inc.has_nothing
-        inc.insert(("a", 2))
-        assert inc.has_nothing
-        assert inc.current().relation[0]["B"] is NOTHING
+        session = ChaseSession(schema_of("A B"), ["A -> B"])
+        session.insert(("a", 1))
+        assert not session.has_nothing
+        session.insert(("a", 2))
+        assert session.has_nothing
+        assert session.result().relation[0]["B"] is NOTHING
 
     def test_cascade_through_earlier_rows(self):
         # a late insert grounds a null from the very first row via a chain
-        inc = IncrementalChase(schema_of("A B C"), ["A -> B", "B -> C"])
-        inc.insert(("a", null(), null()))
-        inc.insert(("a", "b1", null()))
-        inc.insert(("z", "b1", "c9"))
-        result = inc.current()
+        session = ChaseSession(schema_of("A B C"), ["A -> B", "B -> C"])
+        session.insert(("a", null(), null()))
+        session.insert(("a", "b1", null()))
+        session.insert(("z", "b1", "c9"))
+        result = session.result()
         assert result.relation[0]["B"] == "b1"
         assert result.relation[0]["C"] == "c9"
 
     def test_initial_rows_argument(self):
-        inc = IncrementalChase(
+        session = ChaseSession(
             schema_of("A B"), ["A -> B"], rows=[("a", null()), ("a", 7)]
         )
-        assert inc.current().relation[0]["B"] == 7
+        assert session.result().relation[0]["B"] == 7
 
 
 class TestEquivalenceWithBatch:
@@ -85,14 +77,14 @@ class TestEquivalenceWithBatch:
         from repro.workloads.paper import figure_5
 
         _, fds, relation = figure_5()
-        inc = IncrementalChase(relation.schema, fds)
+        session = ChaseSession(relation.schema, fds)
         for row in relation.rows:
-            inc.insert(row)
-        batch = congruence_chase(relation, fds)
-        assert canonical_form(inc.current().relation) == canonical_form(
+            session.insert(row)
+        batch = chase(relation, fds)
+        assert canonical_form(session.result().relation) == canonical_form(
             batch.relation
         )
-        assert inc.has_nothing == batch.has_nothing
+        assert session.has_nothing == batch.has_nothing
 
 
 # ---------------------------------------------------------------------------
@@ -117,14 +109,14 @@ def test_incremental_equals_batch(rows, fds):
     ]
     relation = Relation(schema, materialized)
 
-    inc = IncrementalChase(schema, fds)
+    session = ChaseSession(schema, fds)
     for row in relation.rows:
-        inc.insert(row)
-    batch = congruence_chase(relation, fds)
-    assert canonical_form(inc.current().relation) == canonical_form(
+        session.insert(row)
+    batch = chase(relation, fds)
+    assert canonical_form(session.result().relation) == canonical_form(
         batch.relation
     )
-    assert inc.has_nothing == batch.has_nothing
+    assert session.has_nothing == batch.has_nothing
 
 
 @given(
@@ -137,17 +129,17 @@ def test_insertion_order_does_not_matter(rows, fds):
     materialized = [
         [null() if v is None else v for v in row] for row in rows
     ]
-    forward = IncrementalChase(schema, fds)
+    forward = ChaseSession(schema, fds)
     for row in Relation(schema, materialized).rows:
         forward.insert(row)
-    backward = IncrementalChase(schema, fds)
+    backward = ChaseSession(schema, fds)
     for row in reversed(Relation(schema, materialized).rows):
         backward.insert(row)
     # same final partition up to row order: compare sorted canonical rows
-    fwd = sorted(canonical_form(forward.current().relation))
+    fwd = sorted(canonical_form(forward.result().relation))
     # note: canonical_form numbers nulls by first occurrence, so compare
     # multisets of per-row shapes only when no cross-row nulls exist
     if not any(cell is None for row in rows for cell in row):
-        bwd = sorted(canonical_form(backward.current().relation))
+        bwd = sorted(canonical_form(backward.result().relation))
         assert fwd == bwd
     assert forward.has_nothing == backward.has_nothing

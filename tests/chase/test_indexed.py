@@ -6,7 +6,7 @@ extended mode) is what licenses the different firing order.  These tests
 pin the stronger, implementation-level contract: ``relation`` (up to null
 *identity*, not just canonical form), ``nec_classes`` and
 ``substitutions`` are **field-identical** across the sweep, indexed and
-congruence engines, on randomized instances with constants, fresh nulls,
+sharded engines, on randomized instances with constants, fresh nulls,
 shared nulls and NOTHING cells.
 """
 
@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chase.congruence import congruence_chase
 from repro.chase.engine import (
     MODE_BASIC,
     MODE_EXTENDED,
@@ -24,6 +23,7 @@ from repro.chase.engine import (
     chase,
 )
 from repro.chase.indexed import IndexedChaseState, indexed_chase
+from repro.chase.parallel import sharded_chase
 from repro.core.values import NOTHING
 
 from ..helpers import rel
@@ -116,10 +116,10 @@ def test_indexed_equals_sweep_on_random_instances(instance, fds, strategy, seed)
 @settings(max_examples=150, deadline=None)
 def test_all_three_engines_field_identical(instance, fds):
     fast = indexed_chase(instance, fds)
-    cong = congruence_chase(instance, fds)
+    sharded = sharded_chase(instance, fds)
     slow = chase(instance, fds, mode=MODE_EXTENDED, engine="sweep")
     assert_field_identical(fast, slow)
-    assert_field_identical(cong, slow)
+    assert_field_identical(sharded, slow)
 
 
 @given(

@@ -105,7 +105,7 @@ class TestWeaklySatisfiable:
     def test_engine_choice_agrees(self):
         r = rel("A B C", [("a", "-", "c1"), ("a", "-", "c2")])
         fds = ["A -> B", "B -> C"]
-        assert weakly_satisfiable(r, fds, engine="congruence") == (
+        assert weakly_satisfiable(r, fds, engine="indexed") == (
             weakly_satisfiable(r, fds, engine="fixpoint")
         )
 
@@ -119,7 +119,7 @@ class TestWeaklySatisfiable:
         with pytest.raises(ValueError):
             minimally_incomplete(r, [], engine="nope")
         with pytest.raises(ValueError):
-            minimally_incomplete(r, [], engine="congruence", mode=MODE_BASIC)
+            minimally_incomplete(r, [], engine="indexed", mode=MODE_BASIC)
 
 
 class TestCanonicalForm:

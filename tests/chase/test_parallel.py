@@ -1,35 +1,24 @@
-"""Parallel-vs-serial differential suite: the stitched result is exact.
+"""Sharded-vs-serial differential suite: the stitched result is exact.
 
 The acceptance contract for the sharded executor
-(``repro/chase/parallel.py``) is *field identity* with the single-threaded
+(``repro/chase/parallel.py``) is *field identity* with the single-shard
 engines — same row values (null equality as object identity), same NEC
 classes in the same order, same substitutions, same NOTHING verdict.  The
-bulk suite runs the in-process path over a multi-component FD pool with
-shared nulls and bypass columns; a smaller suite forces a real
-``multiprocessing`` pool (``processes=True``) so the codec round-trip and
-fork-safe null allocation are exercised for real; directed cases pin the
-payload/decode round-trip, the codec fallback, the vector engine, and the
-API error surface.
+bulk suite runs it over a multi-component FD pool with shared nulls and
+bypass columns; directed cases pin the stitch's cross-shard remapping, the
+vector engine, and the API surface.
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 
-from repro.chase.engine import ENGINE_VECTOR, MODE_BASIC, chase
+from repro.chase.engine import ENGINE_SHARDED, ENGINE_VECTOR, MODE_BASIC, chase
 from repro.chase.indexed import indexed_chase
-from repro.chase.parallel import (
-    STRATEGY_PARALLEL,
-    chase_shard_remote,
-    decode_outcome,
-    parallel_chase,
-    shard_payload,
-)
-from repro.chase.plan import plan_shards
+from repro.chase.parallel import STRATEGY_SHARDED, sharded_chase
 from repro.chase.session import ChaseSession
 from repro.chase.vector import vectorized_chase
-from repro.core.relation import Relation
 from repro.core.values import null
-from repro.errors import CodecError, ReproError
+from repro.errors import ReproError
 
 from ..helpers import rel, schema_of
 from ..strategies import assert_field_identical, fd_sets, instances
@@ -49,33 +38,22 @@ MULTI_FD_POOL = (
 
 
 class TestInProcessDifferential:
-    """The bulk randomized suite: stitched == serial, no pool involved."""
+    """The bulk randomized suite plus directed stitch cases."""
 
     @given(
         instances(attributes="A B C D E F G H", max_rows=7, shared_nulls=4),
         fd_sets(pool=MULTI_FD_POOL, min_size=1, max_size=5),
     )
     @settings(max_examples=250, deadline=None)
-    def test_workers_many_matches_indexed(self, instance, fds):
+    def test_sharded_matches_indexed(self, instance, fds):
         reference = indexed_chase(instance, fds)
-        stitched = parallel_chase(instance, fds, workers=4, processes=False)
-        assert stitched.strategy == STRATEGY_PARALLEL
+        stitched = sharded_chase(instance, fds)
+        assert stitched.strategy == STRATEGY_SHARDED
         assert_field_identical(stitched, reference)
-
-    @given(
-        instances(attributes="A B C D E F", max_rows=6, shared_nulls=3),
-        fd_sets(pool=MULTI_FD_POOL, min_size=1, max_size=4),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_workers_one_matches_indexed(self, instance, fds):
-        assert_field_identical(
-            parallel_chase(instance, fds, workers=1),
-            indexed_chase(instance, fds),
-        )
 
     def test_no_fds_returns_the_input_as_fixpoint(self):
         r = rel("A B", [("a", "-"), ("b", "-")])
-        result = parallel_chase(r, [], workers=2)
+        result = sharded_chase(r, [])
         assert [row.values for row in result.relation.rows] == [
             row.values for row in r.rows
         ]
@@ -86,37 +64,19 @@ class TestInProcessDifferential:
     def test_bypass_columns_pass_through_untouched(self):
         shared = null()
         r = rel("A B C", [("a", "b1", shared), ("a", "b2", shared)])
-        result = parallel_chase(r, ["A -> B"], workers=1)
+        result = sharded_chase(r, ["A -> B"])
         reference = indexed_chase(r, ["A -> B"])
         assert_field_identical(result, reference)
         # the C column (bypass) still holds the original null object
         assert result.relation.rows[0].values[2] is shared
 
-
-class TestMultiprocessingDifferential:
-    """Real process pools: codec round-trip + fork-scoped null labels."""
-
-    @given(
-        instances(attributes="A B C D E F", max_rows=5, shared_nulls=3),
-        fd_sets(pool=MULTI_FD_POOL, min_size=2, max_size=4),
-    )
-    @settings(
-        max_examples=25,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    def test_pooled_matches_indexed(self, instance, fds):
-        reference = indexed_chase(instance, fds)
-        stitched = parallel_chase(instance, fds, workers=2, processes=True)
-        assert_field_identical(stitched, reference)
-
-    def test_shared_null_across_shard_and_bypass_survives_the_pool(self):
+    def test_shared_null_across_shard_and_bypass_survives_the_stitch(self):
         # the shard grounds the null; the stitcher must rewrite the
-        # bypass occurrence too, through parent-side object identity
+        # bypass occurrence too, through object identity
         shared = null()
         r = rel("A B C", [("a", shared, shared), ("a", "b", "c")])
         reference = indexed_chase(r, ["A -> B"])
-        stitched = parallel_chase(r, ["A -> B"], workers=2, processes=True)
+        stitched = sharded_chase(r, ["A -> B"])
         assert_field_identical(stitched, reference)
         assert stitched.relation.rows[0].values == ("a", "b", "b")
 
@@ -132,47 +92,8 @@ class TestMultiprocessingDifferential:
         )
         fds = ["A -> B", "C -> D"]
         reference = indexed_chase(r, fds)
-        stitched = parallel_chase(r, fds, workers=2, processes=True)
+        stitched = sharded_chase(r, fds)
         assert_field_identical(stitched, reference)
-
-    def test_codec_refusal_propagates_when_processes_forced(self):
-        weird = ("tu", "ple")  # hashable constant the codec refuses
-        r = rel("A B C D", [("a", "b", weird, "d"), ("a", "-", weird, "-")])
-        with pytest.raises(CodecError):
-            parallel_chase(r, ["A -> B", "C -> D"], workers=2, processes=True)
-
-    def test_codec_refusal_degrades_to_in_process(self):
-        weird = ("tu", "ple")
-        r = rel("A B C D", [("a", "b", weird, "d"), ("a", "-", weird, "-")])
-        fds = ["A -> B", "C -> D"]
-        stitched = parallel_chase(r, fds, workers=2)  # processes=None
-        assert_field_identical(stitched, indexed_chase(r, fds))
-
-
-class TestPayloadRoundTrip:
-    def test_payload_and_reply_resolve_to_parent_objects(self):
-        shared = null()
-        r = rel("A B C D", [("a", shared, "c", "d"), ("a", shared, "c", "x")])
-        plan = plan_shards(r.schema, ["A -> B", "C -> D"])
-        shard = plan.shards[0]
-        codec, payload = shard_payload(r, plan, shard)
-        assert payload["attributes"] == ["A", "B"]
-        assert payload["rows"] == [["a", {"n": "n0"}], ["a", {"n": "n0"}]]
-        reply = chase_shard_remote(payload)  # same process: simulate worker
-        outcome = decode_outcome(codec, plan.shard_fds(shard), reply)
-        # the decoded rows hold the ORIGINAL parent-side null object
-        assert outcome.rows[0][1] is shared
-        assert outcome.rows[1][1] is shared
-
-    def test_remote_reply_reports_forced_substitutions_by_canonical_id(self):
-        shared = null()
-        r = rel("A B", [("a", shared), ("a", "b")])
-        plan = plan_shards(r.schema, ["A -> B"])
-        codec, payload = shard_payload(r, plan, plan.shards[0])
-        reply = chase_shard_remote(payload)
-        assert reply["subs"] == [["n0", "b"]]
-        outcome = decode_outcome(codec, plan.shard_fds(plan.shards[0]), reply)
-        assert outcome.substitutions == {shared: "b"}
 
 
 class TestVectorEngine:
@@ -192,49 +113,28 @@ class TestVectorEngine:
 
 
 class TestApiSurface:
-    def test_chase_workers_routes_to_parallel(self):
+    def test_chase_engine_sharded_routes_to_the_shard_executor(self):
         r = rel("A B C D", [("a", "-", "c", "-"), ("a", "b", "c", "d")])
         fds = ["A -> B", "C -> D"]
-        result = chase(r, fds, workers=2)
-        assert result.strategy == STRATEGY_PARALLEL
+        result = chase(r, fds, engine=ENGINE_SHARDED)
+        assert result.strategy == STRATEGY_SHARDED
         assert_field_identical(result, indexed_chase(r, fds))
 
-    def test_workers_rejects_basic_mode(self):
+    def test_sharded_rejects_basic_mode(self):
         r = rel("A B", [("a", "b")])
         with pytest.raises(ValueError, match="extended"):
-            chase(r, ["A -> B"], mode=MODE_BASIC, workers=2)
-
-    def test_workers_rejects_explicit_engine(self):
-        r = rel("A B", [("a", "b")])
-        with pytest.raises(ValueError, match="engine"):
-            chase(r, ["A -> B"], engine=ENGINE_VECTOR, workers=2)
-
-    def test_workers_below_one_rejected(self):
-        r = rel("A B", [("a", "b")])
-        with pytest.raises(ValueError, match="workers"):
-            parallel_chase(r, ["A -> B"], workers=0)
+            chase(r, ["A -> B"], mode=MODE_BASIC, engine=ENGINE_SHARDED)
 
 
 class TestSessionIntegration:
-    def test_session_verify_with_workers(self):
-        schema = schema_of("A B C D")
-        session = ChaseSession(schema, ["A -> B", "C -> D"], workers=2)
-        session.insert(["a", null(), "c", null()])
-        session.insert(["a", "b", "c", "d"])
-        assert session.verify()
-        assert session.verify(workers=1)
-
-    def test_set_fds_replans_and_rechases(self):
+    def test_set_fds_rechases(self):
         schema = schema_of("A B")
-        session = ChaseSession(schema, ["A -> B"], workers=1)
+        session = ChaseSession(schema, ["A -> B"])
         unknown = null()
         session.insert(["a", unknown])
         session.insert(["a", "b"])
         assert session.result().relation.rows[0].values == ("a", "b")
-        first_plan = session.plan()
         session.set_fds([])
-        assert session.plan() is not first_plan
-        assert session.plan().shards == ()
         # re-chased under the empty FD set: the null is unknown again
         assert session.result().relation.rows[0].values == ("a", unknown)
         assert session.verify()

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chase import ChaseSession, IncrementalChase, chase
+from repro.chase import ChaseSession, chase
 from repro.core.relation import Relation
 from repro.core.tuples import Row
 from repro.core.values import NOTHING, is_null, null
@@ -378,15 +378,6 @@ class TestViews:
         session.insert(("a", null(), null()))
         session.insert(("a", "b1", "c1"))
         assert session.substitutions() == session.result().substitutions
-
-    def test_incremental_chase_is_a_session(self):
-        with pytest.warns(DeprecationWarning, match="IncrementalChase"):
-            inc = IncrementalChase(SCHEMA, ["A -> B"], rows=[("a", null(), "c")])
-        assert isinstance(inc, ChaseSession)
-        # the old private machinery is gone: the shared core's buckets are
-        # the only signature structures
-        for legacy in ("_signature", "_table", "_uses", "_pending"):
-            assert not hasattr(inc, legacy)
 
 
 # ---------------------------------------------------------------------------

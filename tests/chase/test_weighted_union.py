@@ -15,7 +15,7 @@ short occurrence list.  Two things need pinning:
 
 from hypothesis import given, settings
 
-from repro.chase.congruence import congruence_chase
+from repro.chase.parallel import sharded_chase
 from repro.chase.engine import MODE_EXTENDED, chase
 from repro.chase.indexed import IndexedChaseState, indexed_chase
 from repro.core.relation import Relation
@@ -83,9 +83,9 @@ def test_indexed_chase_invariant_under_fd_order(instance, fds):
 
 @given(instances(max_rows=5), fd_sets())
 @settings(max_examples=100, deadline=None)
-def test_congruence_chase_invariant_under_fd_order(instance, fds):
-    forward = congruence_chase(instance, fds)
-    backward = congruence_chase(instance, list(reversed(fds)))
+def test_sharded_chase_invariant_under_fd_order(instance, fds):
+    forward = sharded_chase(instance, fds)
+    backward = sharded_chase(instance, list(reversed(fds)))
     assert_field_identical(backward, forward)
 
 
@@ -96,5 +96,5 @@ def test_fd_order_invariance_holds_across_engines(instance, fds):
     lands on the same fields — partition-determined extraction composed
     with Theorem 4's unique fixpoint."""
     reference = chase(instance, fds, mode=MODE_EXTENDED, engine="sweep")
-    flipped = congruence_chase(instance, list(reversed(fds)))
+    flipped = sharded_chase(instance, list(reversed(fds)))
     assert_field_identical(flipped, reference)

@@ -97,11 +97,3 @@ class TestSchemaMisuse:
 
         with pytest.raises(SchemaError):
             GuardedRelation(schema_of("A B"), ["A -> Z"])
-
-    @pytest.mark.filterwarnings("ignore:repro:DeprecationWarning")
-    def test_incremental_chase_arity(self):
-        from repro.chase import IncrementalChase
-
-        inc = IncrementalChase(schema_of("A B"), ["A -> B"])
-        with pytest.raises(SchemaError):
-            inc.insert(("only-one",))

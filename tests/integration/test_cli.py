@@ -145,7 +145,7 @@ class TestDesignCommands:
 
 class TestEngineAndMethodFlags:
     def test_chase_engine_choices(self, customers_csv, capsys):
-        for engine in ("auto", "sweep", "indexed", "congruence"):
+        for engine in ("auto", "sweep", "indexed", "vector", "sharded"):
             code = main(
                 ["chase", "--data", customers_csv, "--fds", "zip -> city",
                  "--engine", engine]
@@ -159,7 +159,7 @@ class TestEngineAndMethodFlags:
                   "--engine", "warp"])
 
     def test_check_method_choices(self, customers_csv, capsys):
-        for method in ("auto", "sortmerge", "pairwise", "bucket", "batched"):
+        for method in ("auto", "sortmerge", "pairwise", "batched"):
             code = main(
                 ["check", "--data", customers_csv, "--fds", "zip -> city",
                  "--method", method]

@@ -248,3 +248,36 @@ def test_single_relation_query_carries_scalar_as_of(tmp_path):
         await server.stop()
 
     asyncio.run(go())
+
+
+def test_join_keeps_same_named_nulls_of_two_relations_apart(tmp_path):
+    """Null ids are relation-scoped: ``{"n": "x"}`` sent to ``r`` and to
+    ``s`` names two different unknowns, so a join answer holding both
+    must give them two different wire names."""
+
+    async def go():
+        server = ReproServer(tmp_path / "db", sync="flush", create=True)
+        await server.start()
+        await server.handle(
+            {"do": "create", "name": "r", "attrs": R_ATTRS, "fds": R_FDS}
+        )
+        await server.handle(
+            {"do": "create", "name": "s", "attrs": S_ATTRS, "fds": S_FDS}
+        )
+        shared = {"n": "x"}
+        await server.handle(
+            {"id": 1, "do": "insert", "rel": "r", "row": [shared, "b", "c"]}
+        )
+        await server.handle({"id": 2, "do": "insert", "rel": "s", "row": ["c", shared]})
+        response = await server.handle(
+            {"id": 3, "do": "query", "q": "r join s", "mode": "kleene"}
+        )
+        await server.stop()
+        return response
+
+    response = asyncio.run(go())
+    assert response["ok"], response
+    [row] = response["certain"]["rows"]
+    a_cell, d_cell = row[0], row[3]
+    assert isinstance(a_cell, dict) and isinstance(d_cell, dict)
+    assert a_cell != d_cell

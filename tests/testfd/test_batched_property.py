@@ -3,11 +3,12 @@
 The batched variant's contract has two tiers, and the suite pins both on
 randomized instances under both conventions:
 
-* against **bucket** — full field identity: same outcome, same witness
+* against **the same check one FD at a time** (the per-FD bucket walk
+  batching replaces) — full field identity: same outcome, same witness
   (fd, rows, attribute), and the same strong-convention
   :class:`ConventionError` rejection on null-bearing left-hand sides.
-  Bucket's observable behavior depends on its FD-major iteration order,
-  so this is the strictest oracle available.
+  The walk's observable behavior depends on its FD-major iteration
+  order, so this pins exactly what grouping FDs could break.
 * against **pairwise** and **sort-merge** — outcome identity only: those
   variants scan in different orders and legitimately surface different
   witnesses for the same violated set, so the cross-variant check is the
@@ -31,13 +32,13 @@ from repro.testfd import (
     CONVENTION_WEAK,
     check_fds,
     check_fds_batched,
-    check_fds_bucket,
     check_fds_pairwise,
     check_fds_sortmerge,
     x_equal,
     y_unequal,
 )
 from repro.testfd.conventions import class_function
+from repro.testfd.pairwise import TestFDsOutcome as Outcome
 
 from ..helpers import rel
 from ..strategies import SHARED_LHS_FD_POOL, fd_sets, instances
@@ -54,6 +55,16 @@ def _instances(max_rows=6):
 
 def _fd_lists():
     return fd_sets(pool=SHARED_LHS_FD_POOL, max_size=5)
+
+
+def one_fd_at_a_time(instance, fds, convention=CONVENTION_WEAK):
+    """The per-FD walk batching must reproduce: each FD checked alone, in
+    input order, answering with the first violation."""
+    for fd in fds:
+        outcome = check_fds_batched(instance, [fd], convention)
+        if not outcome.satisfied:
+            return outcome
+    return Outcome(True, None)
 
 
 def _outcome_or_rejection(variant, instance, fds, convention):
@@ -83,19 +94,19 @@ def assert_witness_valid(instance, convention, witness):
 
 @given(_instances(), _fd_lists(), st.sampled_from(_CONVENTIONS))
 @settings(max_examples=250, deadline=None)
-def test_batched_field_identical_to_bucket(instance, fds, convention):
-    bucket, bucket_rejected = _outcome_or_rejection(
-        check_fds_bucket, instance, fds, convention
+def test_batched_field_identical_to_one_fd_at_a_time(instance, fds, convention):
+    walk, walk_rejected = _outcome_or_rejection(
+        one_fd_at_a_time, instance, fds, convention
     )
     batched, batched_rejected = _outcome_or_rejection(
         check_fds_batched, instance, fds, convention
     )
-    assert batched_rejected == bucket_rejected
-    if bucket_rejected:
+    assert batched_rejected == walk_rejected
+    if walk_rejected:
         assert convention == CONVENTION_STRONG
         return
-    assert batched.satisfied == bucket.satisfied
-    assert batched.witness == bucket.witness
+    assert batched.satisfied == walk.satisfied
+    assert batched.witness == walk.witness
 
 
 @given(_instances(), _fd_lists(), st.sampled_from(_CONVENTIONS))
@@ -147,14 +158,15 @@ def test_check_fds_method_batched_dispatch(instance, fds):
 
 class TestSharedLhsGrouping:
     def test_first_violated_fd_in_input_order_wins(self):
-        # both A -> B and A -> C are violated; bucket answers with the
-        # first FD in input order, and batched must too — even though its
-        # single scan discovers the A -> C conflict at the same row
+        # both A -> B and A -> C are violated; the per-FD walk answers
+        # with the first FD in input order, and batched must too — even
+        # though its single scan discovers the A -> C conflict at the
+        # same row
         r = rel("A B C", [("a", "b1", "c1"), ("a", "b2", "c2")])
         outcome = check_fds_batched(r, ["A -> C", "A -> B"])
         assert not outcome.satisfied
         assert outcome.witness.fd.rhs == ("C",)
-        assert outcome.witness == check_fds_bucket(r, ["A -> C", "A -> B"]).witness
+        assert outcome.witness == one_fd_at_a_time(r, ["A -> C", "A -> B"]).witness
 
     def test_later_group_member_still_answered(self):
         # A -> B holds, A -> C is violated: the group scan must have kept
@@ -188,13 +200,13 @@ class TestRejectionPaths:
         assert check_fds_batched(r, ["A -> B"], CONVENTION_WEAK).satisfied
 
     def test_rejection_loses_to_earlier_violation(self):
-        # bucket checks FDs in order: a violation of the first FD returns
+        # the walk checks FDs in order: a violation of the first FD returns
         # before the second FD's null-bearing LHS is ever inspected
         r = rel("A B C", [("a", 1, "-"), ("a", 2, "c")])
         fds = ["A -> B", "C -> B"]
         outcome = check_fds_batched(r, fds, CONVENTION_STRONG)
         assert not outcome.satisfied
-        assert outcome.witness == check_fds_bucket(r, fds, CONVENTION_STRONG).witness
+        assert outcome.witness == one_fd_at_a_time(r, fds, CONVENTION_STRONG).witness
 
     def test_rejection_beats_later_violation(self):
         # ...but when the null-bearing LHS comes first, the raise wins
@@ -203,11 +215,12 @@ class TestRejectionPaths:
         with pytest.raises(ConventionError):
             check_fds_batched(r, fds, CONVENTION_STRONG)
         with pytest.raises(ConventionError):
-            check_fds_bucket(r, fds, CONVENTION_STRONG)
+            one_fd_at_a_time(r, fds, CONVENTION_STRONG)
 
 
 class TestAutoRouting:
-    """``check_fds(method="auto")`` is batching-aware (ROADMAP item)."""
+    """``check_fds(method="auto")``: batched wherever the convention allows
+    grouping, pairwise otherwise."""
 
     def test_auto_routes_shared_lhs_to_batched(self):
         r = rel("A B C", [("a", "b1", "c"), ("a", "b2", "c")])
@@ -215,21 +228,19 @@ class TestAutoRouting:
         auto = check_fds(r, fds, CONVENTION_WEAK, method="auto")
         assert auto == check_fds_batched(r, fds, CONVENTION_WEAK)
 
-    def test_auto_without_shared_lhs_keeps_sortmerge(self):
+    def test_auto_without_shared_lhs_routes_to_batched(self):
         r = rel("A B C", [("a", "b", "c1"), ("a", "b", "c2")])
         fds = ["A -> B", "B -> C"]
         auto = check_fds(r, fds, CONVENTION_WEAK, method="auto")
-        assert auto == check_fds_sortmerge(r, fds, CONVENTION_WEAK)
+        assert auto == check_fds_batched(r, fds, CONVENTION_WEAK)
 
     def test_auto_strong_with_lhs_nulls_never_raises(self):
         # batched would raise ConventionError on the null-bearing LHS;
-        # auto must detect that and keep the pairwise fallback path
+        # auto must detect that and route to pairwise instead
         r = rel("A B C", [("-", "b1", "c"), ("a", "b2", "c")])
         fds = ["A -> B", "A -> C"]
         auto = check_fds(r, fds, CONVENTION_STRONG, method="auto")
-        assert auto.satisfied == check_fds_pairwise(
-            r, fds, CONVENTION_STRONG
-        ).satisfied
+        assert auto == check_fds_pairwise(r, fds, CONVENTION_STRONG)
 
     def test_auto_strong_null_free_lhs_routes_to_batched(self):
         r = rel("A B C", [("a", "b1", "-"), ("a", "b2", "c")])

@@ -97,6 +97,7 @@ def test_committed_baselines_match_schema():
         "BENCH_PR8.json",
         "BENCH_PR9.json",
         "BENCH_PR10.json",
+        "BENCH_PR12.json",
     ):
         path = REPO_ROOT / name
         assert path.exists(), f"{name} missing from the repo root"
@@ -231,7 +232,7 @@ def _run_compare(fresh_path, *extra):
 
 #: the latest committed baseline — compare.py's default reference, and the
 #: doctoring source for the negative-path tests below
-LATEST_BASELINE = "BENCH_PR10.json"
+LATEST_BASELINE = "BENCH_PR12.json"
 
 
 def test_compare_accepts_the_baseline_against_itself():
@@ -302,6 +303,45 @@ def test_compare_tolerates_fresh_only_benchmarks_and_labels(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "fresh-only benchmark(s)" in proc.stdout
     assert "bench_e99_brand_new" in proc.stdout
+
+
+def test_compare_reports_retired_labels_instead_of_failing(tmp_path):
+    """A label listed in RETIRED_LABELS may vanish — speedup or slope —
+    and is reported with its reason; an unlisted one still fails."""
+    report = json.loads((REPO_ROOT / "BENCH_PR10.json").read_text())
+    e5 = report["benchmarks"]["bench_e5_chase_scaling"]
+    del e5["speedups"]["congruence speedup at largest configuration"]
+    del e5["slopes"]["congruence log-log slope in p"]
+    retired = tmp_path / "retired.json"
+    retired.write_text(json.dumps(report))
+    baseline = ("--baseline", str(REPO_ROOT / "BENCH_PR10.json"))
+    proc = _run_compare(retired, *baseline)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "retired: bench_e5_chase_scaling: 'congruence log-log slope in p'" in proc.stdout
+    del e5["slopes"]["sweep log-log slope in p"]
+    retired.write_text(json.dumps(report))
+    proc = _run_compare(retired, *baseline)
+    assert proc.returncode == 1
+    assert "'sweep log-log slope in p' vanished" in proc.stdout
+
+
+def test_pr12_baseline_records_shard_plan_series():
+    """BENCH_PR12.json carries E5c as the in-process shard plan against
+    the unified engine (the process pool is gone), with the serial
+    headlines and the TEST-FDs batching headlines held."""
+    report = json.loads((REPO_ROOT / "BENCH_PR12.json").read_text())
+    e5 = report["benchmarks"]["bench_e5_chase_scaling"]
+    assert e5["status"] == "ok"
+    key = "shard-plan speedup over unified at largest configuration"
+    assert e5["speedups"][key] >= 1.0
+    assert "sharded chase wall s by size" in e5["series"]
+    assert "unified chase wall s by size" in e5["series"]
+    assert not any("parallel" in label for label in e5["speedups"])
+    assert e5["speedups"]["indexed speedup at largest configuration"] >= 5.0
+    e3 = report["benchmarks"]["bench_e3_testfds_scaling"]
+    assert "batched speedup over per-FD bucket at largest n" in e3["speedups"]
+    e4 = report["benchmarks"]["bench_e4_testfds_variants"]
+    assert "batched speedup at widest shared-LHS set" in e4["speedups"]
 
 
 def test_compare_rejects_a_malformed_series(tmp_path):
