@@ -67,8 +67,21 @@ fds)`` from scratch.
 from __future__ import annotations
 
 import functools
+import threading
 from dataclasses import dataclass, fields as dataclass_fields
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from ..api import TAG_CERTAIN, Answer, provenance_of
 from ..core.fd import FDInput, as_fd
@@ -236,6 +249,10 @@ class ChaseSession(SignatureChaseCore):
         #: restoration — goes through the private ``_insert``/``_replace``
         #: entry points and never emits.
         self.on_op: Optional[Any] = None
+        #: values derived from one state (see :meth:`memo`): the mark
+        #: they belong to, and the values by key
+        self._memo_mark: Optional[Tuple[int, int]] = None
+        self._memos: Dict[Hashable, Any] = {}
         super().__init__(Relation(schema, ()), fds)
         self._install()
         for row in initial:
@@ -285,8 +302,44 @@ class ChaseSession(SignatureChaseCore):
 
     def raw_relation(self) -> Relation:
         """The raw rows as a :class:`Relation` (what a from-scratch
-        ``chase`` of this session's state would take as input)."""
-        return Relation(self.schema, list(self._raw_rows))
+        ``chase`` of this session's state would take as input).  Built
+        once per :attr:`mark`: callers share it and must not mutate it."""
+        return self.memo(
+            "raw_relation", lambda: Relation(self.schema, list(self._raw_rows))
+        )
+
+    # -- versions ----------------------------------------------------------
+
+    @property
+    def mark(self) -> Tuple[int, int]:
+        """The state's version stamp: ``(rewind generation, trail length)``.
+
+        Every mutation moves it — it either appends to the trail or bumps
+        the generation, and the generation never repeats — so two reads
+        at one mark see one state."""
+        return (self._gen, len(self._trail))
+
+    def memo(self, key: Hashable, build: Callable[[], Any]) -> Any:
+        """``build()``, computed at most once per :attr:`mark`.
+
+        The read-side cache of everything derived from one state (the
+        fixpoint, the raw relation, the server's instance statistics).
+        Only the current version is kept: the first call after the mark
+        moves drops every value built for the old one.  Nothing is built
+        until asked for, so mutations pay one tuple comparison here and
+        nothing at all on the write path.
+        """
+        mark = (self._gen, len(self._trail))
+        if self._memo_mark != mark:
+            self._memo_mark = mark
+            self._memos = {}
+        # a local reference: readers of a detached session in executor
+        # threads may race the first build, and a racing reset must not
+        # empty the table out from under this one
+        memos = self._memos
+        if key not in memos:
+            memos[key] = build()
+        return memos[key]
 
     def __len__(self) -> int:
         return len(self._raw_rows)
@@ -907,8 +960,14 @@ class ChaseSession(SignatureChaseCore):
 
     def result(self, strategy: str = STRATEGY_SESSION) -> "ResultAnswer":
         """The maintained fixpoint (a :class:`ChaseResult` that also
-        speaks the unified answer schema — see :class:`ResultAnswer`)."""
-        return ResultAnswer(super().result(strategy))
+        speaks the unified answer schema — see :class:`ResultAnswer`).
+
+        Decoded once per :attr:`mark`; each call wraps the shared fields
+        in a new :class:`ResultAnswer`, so stamping one read with
+        :meth:`ResultAnswer.at` never touches another.  The fields are
+        shared between calls at one mark and must not be mutated."""
+        build = super().result
+        return ResultAnswer(self.memo(("result", strategy), lambda: build(strategy)))
 
     @property
     def has_nothing(self) -> bool:
@@ -967,39 +1026,42 @@ class ChaseSession(SignatureChaseCore):
         return explain_chase(self.result())
 
     def lease(self) -> "ReadLease":
-        """An O(1) consistent-cut read handle (see :class:`ReadLease`).
+        """A consistent-cut read handle (see :class:`ReadLease`), shared
+        by every caller while the :attr:`mark` holds.
 
         The snapshot-isolation primitive the serving layer's read path is
         built on: readers hold the lease, the session keeps mutating."""
-        return ReadLease(self)
+        return self.memo("lease", lambda: ReadLease(self))
 
 
 class ReadLease:
     """A consistent-cut read handle on a :class:`ChaseSession`.
 
-    Taking a lease costs one raw-row tuple copy — the same cut
-    :meth:`ChaseSession.snapshot` records, minus the trail bookkeeping,
-    because a lease can never roll the session back; it can only *read*
-    the state as of the cut.  Reads then take one of two paths:
+    One lease stands for one cut — one session :attr:`~ChaseSession.mark`
+    — and :meth:`ChaseSession.lease` hands the same lease to every reader
+    of that cut, so a cut costs one raw-row tuple copy however many
+    readers it serves.  A lease can never roll the session back; it can
+    only *read* the state as of the cut.  Reads then take one of two
+    paths:
 
     * **live** — while the source session is provably unchanged (its
-      rewind generation and trail length still match the cut; every
-      session mutation moves at least one of them), reads delegate
-      straight to the live session: no copy, no re-chase.  Only valid
-      where nothing can mutate the session mid-read (the server reads
-      live only on its event loop, between ops).
+      mark still equals the cut's), reads delegate straight to the live
+      session and its once-per-mark fixpoint: no copy, no re-chase.
+      Only valid where nothing can mutate the session mid-read (the
+      server reads live only on its event loop, between ops).
     * **detached** — once the session has moved on, or when
       ``detached=True`` forces isolation, the lease materializes its own
-      private fixpoint by chasing the frozen raw rows from scratch
-      (built once, cached).  The cost lands on the reader alone: the
-      source session is never touched again, so a writer never waits on
-      however slow a reader is.  By the session invariant (maintained
-      fixpoint == from-scratch chase of the raw rows, field-identically)
-      the detached answer equals what the source would have said at the
-      cut.
+      private fixpoint by chasing the frozen raw rows from scratch.  It
+      is built once per lease, under a lock, so readers of one cut in
+      executor threads share one re-chase.  The cost lands on readers
+      alone: the source session is never touched again, so a writer
+      never waits on however slow a reader is.  By the session invariant
+      (maintained fixpoint == from-scratch chase of the raw rows,
+      field-identically) the detached answer equals what the source
+      would have said at the cut.
     """
 
-    __slots__ = ("rows", "_session", "_schema", "_fds", "_mark", "_detached")
+    __slots__ = ("rows", "_session", "_schema", "_fds", "_mark", "_detached", "_lock")
 
     def __init__(self, session: ChaseSession) -> None:
         self._session = session
@@ -1008,17 +1070,14 @@ class ReadLease:
         #: the frozen raw rows at the cut (shared Row objects, never
         #: mutated in place by the session — rewrites replace rows)
         self.rows: Tuple[Row, ...] = tuple(session._raw_rows)
-        self._mark = (session._gen, len(session._trail))
+        self._mark = session.mark
         self._detached: Optional[ChaseSession] = None
+        self._lock = threading.Lock()
 
     @property
     def fresh(self) -> bool:
         """True while the source session still *is* the cut."""
-        session = self._session
-        return (
-            self._detached is None
-            and (session._gen, len(session._trail)) == self._mark
-        )
+        return self._session.mark == self._mark
 
     def instance(self, detached: bool = False) -> ChaseSession:
         """The session to read from: the live source while :attr:`fresh`
@@ -1027,7 +1086,11 @@ class ReadLease:
         if not detached and self.fresh:
             return self._session
         if self._detached is None:
-            self._detached = ChaseSession(self._schema, self._fds, rows=list(self.rows))
+            with self._lock:
+                if self._detached is None:
+                    self._detached = ChaseSession(
+                        self._schema, self._fds, rows=list(self.rows)
+                    )
         return self._detached
 
     def result(self, detached: bool = False) -> ChaseResult:

@@ -143,6 +143,8 @@ class Evaluator:
         #: the :class:`~repro.query.optimize.Plan` of the last ``run()``
         self.last_plan: Optional[Any] = None
         self._stats: Optional[Dict[str, Any]] = None
+        #: relation name → its deduplicated conditional rows (see _scan)
+        self._scans: Dict[str, List[CRow]] = {}
         #: id(null) → candidate constants (consistent enumeration domain)
         self.domains: Dict[int, Tuple[Any, ...]] = {}
         #: id(null) → the null object (keeps ids stable for the session)
@@ -151,6 +153,11 @@ class Evaluator:
         self._provenance: Dict[int, Dict[str, Any]] = {}
         for name, relation in self.env.items():
             attributes = relation.schema.attributes
+            # attribute → (enumeration domain, its values), built at the
+            # column's first null: a surrogate domain rescans the whole
+            # column and holds a fresh symbol per null, so neither may be
+            # rebuilt per null cell
+            column_domains: Dict[str, Tuple[Domain, Tuple[Any, ...]]] = {}
             for row in relation.rows:
                 for attribute, value in zip(attributes, row.values):
                     if value is NOTHING:
@@ -162,10 +169,14 @@ class Evaluator:
                     if not is_null(value):
                         continue
                     self._nulls[id(value)] = value
-                    domain = relation.enumeration_domain(attribute)
+                    column = column_domains.get(attribute)
+                    if column is None:
+                        domain = relation.enumeration_domain(attribute)
+                        column = column_domains[attribute] = (domain, tuple(domain))
+                    domain = column[0]
                     previous = self.domains.get(id(value))
                     if previous is None:
-                        self.domains[id(value)] = tuple(domain)
+                        self.domains[id(value)] = column[1]
                     else:
                         self.domains[id(value)] = tuple(
                             constant
@@ -206,6 +217,17 @@ class Evaluator:
 
             self._stats = collect_stats(self.env)
         return self._stats
+
+    def _scan(self, name: str) -> List[CRow]:
+        """A relation's rows as deduplicated conditional rows, built once
+        per session (a copy of the list: callers may extend it)."""
+        crows = self._scans.get(name)
+        if crows is None:
+            crows = _dedup(
+                [CRow(tuple(row.values), ALWAYS) for row in self.env[name].rows]
+            )
+            self._scans[name] = crows
+        return list(crows)
 
     def plan(self, node: Node, mode: str = MODE_LEAST) -> Any:
         """The optimized :class:`~repro.query.optimize.Plan` for ``node``."""
@@ -327,11 +349,7 @@ class Evaluator:
                     f"unknown relation {node.name!r}",
                     code="E_UNKNOWN_RELATION",
                 )
-            attrs = relation.schema.attributes
-            crows = [
-                CRow(tuple(row.values), ALWAYS) for row in relation.rows
-            ]
-            return attrs, _dedup(crows)
+            return relation.schema.attributes, self._scan(node.name)
 
         if isinstance(node, Select):
             attrs, crows = self._eval(node.source)

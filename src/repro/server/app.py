@@ -32,9 +32,10 @@ from __future__ import annotations
 
 import asyncio
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional, Union
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Union
 
 from ..api import TAG_CERTAIN, WIRE_VERSION
+from ..chase.session import ReadLease
 from ..core.values import is_null
 from ..db.database import Database
 from ..db.log import SYNC_FSYNC
@@ -77,6 +78,11 @@ class ReproServer:
         self.on_commit = on_commit
         self.db: Optional[Database] = None
         self._writers: Dict[str, RelationWriter] = {}
+        #: live query evaluators by scanned relations (in query order),
+        #: each with the leases it was built from (see _live_evaluator)
+        self._evaluators: Dict[
+            Tuple[str, ...], Tuple[Tuple[ReadLease, ...], Evaluator]
+        ] = {}
         self._catalog_lock: Optional["asyncio.Lock"] = None
         self._tcp: Optional["asyncio.AbstractServer"] = None
 
@@ -104,6 +110,7 @@ class ReproServer:
         for writer in self._writers.values():
             await writer.stop()
         self._writers.clear()
+        self._evaluators.clear()
         if self.db is not None:
             self.db.close()
             self.db = None
@@ -361,14 +368,17 @@ class ReproServer:
             name: db.relation(name).session.schema for name in db.names()
         }
         # instance stats and FDs come from the maintained fixpoint's raw
-        # rows — no lease, no chase; the plan linter runs *before any
-        # lease is taken*, so a doomed read (least-mode grounding blow-up,
-        # statically unsatisfiable tree) is refused without ever holding
-        # up group commit
-        stats = {
-            name: relation_stats(db.relation(name).raw_relation())
-            for name in db.names()
-        }
+        # rows — no lease, no chase, and built once per relation version;
+        # the plan linter runs *before any lease is taken*, so a doomed
+        # read (least-mode grounding blow-up, statically unsatisfiable
+        # tree) is refused without ever holding up group commit
+        stats: Dict[str, Any] = {}
+        for name in db.names():
+            session = db.relation(name).session
+            stats[name] = session.memo(
+                "relation_stats",
+                lambda: relation_stats(session.raw_relation()),
+            )
         fds = {
             name: tuple(db.relation(name).session.fds)
             for name in db.names()
@@ -417,17 +427,19 @@ class ReproServer:
             and all(lease.fresh for lease in leases.values())
         )
 
-        def materialize_and_evaluate():
-            env = {
-                name: lease.result(detached=not live).relation
-                for name, lease in leases.items()
-            }
-            evaluator = Evaluator(env, fds=fds)
-            return evaluator.run(node, mode=mode, as_of=as_of, live=live)
-
         if live:
-            result = materialize_and_evaluate()
+            evaluator = self._live_evaluator(leases, fds)
+            result = evaluator.run(node, mode=mode, as_of=as_of, live=True)
         else:
+
+            def materialize_and_evaluate():
+                env = {
+                    name: lease.result(detached=True).relation
+                    for name, lease in leases.items()
+                }
+                evaluator = Evaluator(env, fds=fds)
+                return evaluator.run(node, mode=mode, as_of=as_of, live=False)
+
             loop = asyncio.get_running_loop()
             result = await loop.run_in_executor(None, materialize_and_evaluate)
         # back on the loop: encode each null with the id its owning
@@ -470,3 +482,28 @@ class ReproServer:
             # warning-grade findings ride along with the answer
             payload["diagnostics"] = [d.to_payload() for d in diagnostics]
         return _ok(request_id, **payload)
+
+    def _live_evaluator(
+        self, leases: Dict[str, ReadLease], fds: Mapping[str, Any]
+    ) -> Evaluator:
+        """The evaluator over the live fixpoints of the leased relations.
+
+        One per scanned-relation tuple, kept while every lease it was
+        built from is fresh — while no scanned relation's session mark
+        has moved, its fixpoints are the current ones — so its null
+        index, instance statistics and deduplicated scans carry over from
+        query to query.  Entries with a moved relation are dropped first,
+        so a relation's old version is released once it is superseded.
+        """
+        evaluators = self._evaluators
+        for names in [
+            names
+            for names, (held, _) in evaluators.items()
+            if not all(lease.fresh for lease in held)
+        ]:
+            del evaluators[names]
+        names = tuple(leases)
+        if names not in evaluators:
+            env = {name: lease.result().relation for name, lease in leases.items()}
+            evaluators[names] = (tuple(leases.values()), Evaluator(env, fds=fds))
+        return evaluators[names][1]

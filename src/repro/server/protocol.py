@@ -40,7 +40,7 @@ from __future__ import annotations
 import asyncio
 import itertools
 import json
-from typing import Any, Callable, Dict, Optional, Set
+from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from ..api import WIRE_VERSION, Answer, ResultSet
 from ..core.values import Null, null
@@ -290,9 +290,11 @@ class Client:
         self._waiting: Dict[Any, "asyncio.Future[dict]"] = {}
         self._pump: Optional["asyncio.Task[None]"] = None
         self._lock = asyncio.Lock()
-        #: wire null id → the client-side Null object (one per id, so
-        #: shared unknowns keep identity across answers on this client)
-        self._nulls: Dict[Any, Null] = {}
+        #: (relation, wire null id) → the client-side Null object.  Ids
+        #: are relation-scoped on the wire — ``r``'s ``n0`` and ``s``'s
+        #: ``n0`` are two unknowns — and one key is one object, so a shared
+        #: unknown keeps its identity across answers on this client
+        self._nulls: Dict[Tuple[Optional[str], Any], Null] = {}
 
     @classmethod
     async def connect(cls, host: str, port: int) -> "Client":
@@ -318,16 +320,61 @@ class Client:
 
     # -- the unified answer schema (repro.api) -----------------------------
 
-    def decode_token(self, token: Any) -> Any:
-        """One wire cell → a client-side value (nulls keep identity)."""
+    def decode_token(self, token: Any, rel: Optional[str] = None) -> Any:
+        """One wire cell of relation ``rel`` → a client-side value (a
+        null keeps its identity per relation and id)."""
         if isinstance(token, dict) and "n" in token:
-            key = token["n"]
+            key = (rel, token["n"])
             null_obj = self._nulls.get(key)
             if null_obj is None:
-                null_obj = Null(str(key))
-                self._nulls[key] = null_obj
+                null_obj = self._nulls[key] = Null(str(token["n"]))
             return null_obj
         return token
+
+    def _query_decoder(self, payload: dict) -> Callable[[Any], Any]:
+        """The cell decoder for one query answer.
+
+        The server names each answer null by its relation's id, qualified
+        as ``rel.id`` when that id already names another relation's null
+        in the answer.  So a name is qualified when it is a scanned
+        relation's name, a dot, and another name of the same answer; a
+        bare id belongs to the relation whose provenance record carries
+        it, unless that relation's null appears qualified.
+        """
+        parts = [payload.get("certain") or {}, payload.get("maybe") or {}]
+        names = {
+            token["n"]
+            for part in parts
+            for row in part.get("rows", ())
+            for token in row
+            if isinstance(token, dict) and "n" in token
+        }
+        as_of = payload.get("as_of")
+        scanned = sorted(as_of, key=len, reverse=True) if isinstance(as_of, dict) else []
+        claims: Dict[Any, Set[str]] = {}
+        for part in parts:
+            for record in part.get("provenance", {}).values():
+                if "id" in record and "relation" in record:
+                    claims.setdefault(record["id"], set()).add(record["relation"])
+
+        def owner(name: Any) -> Tuple[Optional[str], Any]:
+            for rel in scanned:
+                if isinstance(name, str) and name.startswith(rel + "."):
+                    bare = name[len(rel) + 1 :]
+                    if bare in names:
+                        return rel, bare
+            holders = [
+                rel for rel in claims.get(name, ()) if f"{rel}.{name}" not in names
+            ]
+            return (holders[0] if len(holders) == 1 else None), name
+
+        def decode(token: Any) -> Any:
+            if isinstance(token, dict) and "n" in token:
+                rel, canonical = owner(token["n"])
+                return self.decode_token({"n": canonical}, rel)
+            return token
+
+        return decode
 
     async def read(self, rel: str, verb: str, **fields: Any) -> Answer:
         """A read verb, parsed into a unified :class:`repro.api.Answer`.
@@ -337,7 +384,9 @@ class Client:
         a wire-version mismatch instead of silently misreading.
         """
         response = await self.call(verb, rel=rel, **fields)
-        return Answer.from_payload(response, decode=self.decode_token)
+        return Answer.from_payload(
+            response, decode=lambda token: self.decode_token(token, rel)
+        )
 
     async def query(
         self, q: str, mode: Optional[str] = None, **fields: Any
@@ -346,7 +395,9 @@ class Client:
         if mode is not None:
             fields["mode"] = mode
         response = await self.call(QUERY_VERB, q=q, **fields)
-        return ResultSet.from_payload(response, decode=self.decode_token)
+        return ResultSet.from_payload(
+            response, decode=self._query_decoder(response)
+        )
 
     async def close(self) -> None:
         if self._pump is not None:

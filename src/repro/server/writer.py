@@ -134,7 +134,9 @@ class RelationWriter:
 
         Callers on the event loop only ever observe op boundaries (the
         writer's apply loop never awaits mid-op), so the cut is always a
-        serial prefix of the op stream.
+        serial prefix of the op stream.  Every reader of one session mark
+        gets the same lease (:meth:`~repro.chase.ChaseSession.lease`), so
+        readers of one cut share its row copy and its detached chase.
         """
         return self.relation.session.lease(), self.relation.seq
 
