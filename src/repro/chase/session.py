@@ -651,7 +651,12 @@ class ChaseSession(SignatureChaseCore):
                 if any(occupant is cell for occupant in row.values):
                     trail.append(("rawset", i, row))
                     self._raw_rows[i] = row.substitute(substitution)
-            self._merge(node, self._node_for(attribute, value))
+            root = self._merge(node, self._node_for(attribute, value))
+            if self.tags[root][0] == _TAG_NOTHING:
+                # a constant the class already holds conflicts: like the
+                # NS-rule's conflict, join the one inconsistent class, so
+                # NOTHING cells keep agreeing with each other
+                self._merge(root, self._nothing())
             self._drain()
             self._ratchet_mark = len(self._trail)
             return

@@ -100,6 +100,12 @@ class CRow:
     cond: Cond
 
 
+#: an access path over a list of conditional rows: constant key tuple →
+#: ascending row indices, plus the ascending indices of the rows with a
+#: null in some key cell (wildcards no constant key can refute)
+Index = Tuple[Dict[Tuple[Any, ...], List[int]], List[int]]
+
+
 def _row_key(values: Tuple[Any, ...]) -> Tuple[Any, ...]:
     """A dedup key distinguishing nulls by identity, constants by value."""
     return tuple(
@@ -120,6 +126,13 @@ class Evaluator:
     the environment raises
     :class:`~repro.errors.InconsistentInstanceError` — the inconsistent
     element has no completions to quantify over.
+
+    Everything else is built lazily and kept for the evaluator's life:
+    instance statistics, each scanned relation's deduplicated rows, and
+    per-``(relation, attributes)`` indexes over those rows that let a
+    select over a scan visit only the rows its most selective
+    ``attribute = constant`` conjunct leaves, and a hash join read a bare
+    scan's buckets instead of rebuilding them.
     """
 
     def __init__(
@@ -145,6 +158,9 @@ class Evaluator:
         self._stats: Optional[Dict[str, Any]] = None
         #: relation name → its deduplicated conditional rows (see _scan)
         self._scans: Dict[str, List[CRow]] = {}
+        #: (relation name, key attributes) → access path over its scan
+        #: rows, built on first use (see _index)
+        self._indexes: Dict[Tuple[str, Tuple[str, ...]], Index] = {}
         #: id(null) → candidate constants (consistent enumeration domain)
         self.domains: Dict[int, Tuple[Any, ...]] = {}
         #: id(null) → the null object (keeps ids stable for the session)
@@ -187,6 +203,9 @@ class Evaluator:
                         id(value),
                         {"relation": name, "attribute": attribute},
                     )
+        #: no null has an empty consistent domain (the planner's
+        #: ``least_safe`` gate; the domains are fixed from here on)
+        self._hazard_free = all(pool for pool in self.domains.values())
 
     # -- public API ---------------------------------------------------------
 
@@ -220,21 +239,56 @@ class Evaluator:
 
     def _scan(self, name: str) -> List[CRow]:
         """A relation's rows as deduplicated conditional rows, built once
-        per session (a copy of the list: callers may extend it)."""
+        per evaluator (the shared list: callers must not mutate it)."""
         crows = self._scans.get(name)
         if crows is None:
             crows = _dedup(
                 [CRow(tuple(row.values), ALWAYS) for row in self.env[name].rows]
             )
             self._scans[name] = crows
-        return list(crows)
+        return crows
+
+    def _index(self, name: str, attributes: Tuple[str, ...]) -> Index:
+        """The access path over ``name``'s scan rows keyed by
+        ``attributes``, built on first use and kept for the evaluator's
+        life."""
+        key = (name, attributes)
+        index = self._indexes.get(key)
+        if index is None:
+            positions = self.env[name].schema.positions(attributes)
+            index = self._indexes[key] = _buckets(self._scan(name), positions)
+        return index
+
+    def _select_rows(self, name: str, pred: Pred) -> List[CRow]:
+        """The scan rows of ``name`` a select by ``pred`` must visit
+        (possibly the shared scan list: callers must not mutate it).
+
+        A row whose cell under an ``Eq`` conjunct holds a *known*
+        constant other than the conjunct's resolves that conjunct to an
+        impossible equality, so the row's whole condition is
+        Kleene-FALSE and the select would drop it.  Only the conjunct's
+        bucket and the column's null-holding wildcards can survive; the
+        conjunct with the fewest of them is taken, merged back into scan
+        order so the output is exactly the full loop's.
+        """
+        crows = self._scan(name)
+        best: Optional[Tuple[int, List[int], List[int]]] = None
+        for conjunct in _index_conjuncts(pred):
+            buckets, wildcards = self._index(name, (conjunct.attribute,))
+            hits = buckets.get((conjunct.constant,), [])
+            size = len(hits) + len(wildcards)
+            if best is None or size < best[0]:
+                best = (size, hits, wildcards)
+        if best is None:
+            return crows
+        _, hits, wildcards = best
+        return [crows[index] for index in _merge_indices(hits, wildcards)]
 
     def plan(self, node: Node, mode: str = MODE_LEAST) -> Any:
         """The optimized :class:`~repro.query.optimize.Plan` for ``node``."""
         from .optimize import optimize_tree
 
         catalog = {name: rel.schema for name, rel in self.env.items()}
-        hazard_free = all(pool for pool in self.domains.values())
         return optimize_tree(
             node,
             catalog,
@@ -242,7 +296,7 @@ class Evaluator:
             fds=self.fds,
             mode=mode,
             limit=self.limit,
-            least_safe=hazard_free,
+            least_safe=self._hazard_free,
         )
 
     def explain(self, node: Node, mode: str = MODE_LEAST) -> str:
@@ -349,10 +403,14 @@ class Evaluator:
                     f"unknown relation {node.name!r}",
                     code="E_UNKNOWN_RELATION",
                 )
-            return relation.schema.attributes, self._scan(node.name)
+            return relation.schema.attributes, list(self._scan(node.name))
 
         if isinstance(node, Select):
-            attrs, crows = self._eval(node.source)
+            if isinstance(node.source, Scan):
+                attrs = self.env[node.source.name].schema.attributes
+                crows = self._select_rows(node.source.name, node.pred)
+            else:
+                attrs, crows = self._eval(node.source)
             positions = {attribute: i for i, attribute in enumerate(attrs)}
             out: List[CRow] = []
             for crow in crows:
@@ -412,14 +470,14 @@ class Evaluator:
                 # the wildcards in ascending row index reproduces the
                 # nested loop's pair order exactly, so the output —
                 # values, conditions, dedup merges — is bit-identical.
-                buckets: Dict[Tuple[Any, ...], List[int]] = {}
-                wildcards: List[int] = []
-                for index, rrow in enumerate(right_rows):
-                    cells = tuple(rrow.values[j] for j in shared_r)
-                    if any(is_null(cell) for cell in cells):
-                        wildcards.append(index)
-                    else:
-                        buckets.setdefault(cells, []).append(index)
+                # A bare scan's buckets come from its index, built once
+                # per evaluator.
+                if isinstance(node.right, Scan):
+                    buckets, wildcards = self._index(
+                        node.right.name, tuple(shared)
+                    )
+                else:
+                    buckets, wildcards = _buckets(right_rows, shared_r)
                 for lrow in left_rows:
                     cells = tuple(lrow.values[i] for i in shared_l)
                     if any(is_null(cell) for cell in cells):
@@ -472,6 +530,31 @@ class Evaluator:
             return tuple(node.attributes), []
 
         raise QueryError(f"not a query node: {node!r}")
+
+
+def _buckets(crows: Sequence[CRow], positions: Sequence[int]) -> Index:
+    """Bucket rows by their cells at ``positions`` (see :data:`Index`)."""
+    buckets: Dict[Tuple[Any, ...], List[int]] = {}
+    wildcards: List[int] = []
+    for index, crow in enumerate(crows):
+        cells = tuple(crow.values[j] for j in positions)
+        if any(is_null(cell) for cell in cells):
+            wildcards.append(index)
+        else:
+            buckets.setdefault(cells, []).append(index)
+    return buckets, wildcards
+
+
+def _index_conjuncts(pred: Pred) -> List[Eq]:
+    """The ``attribute = constant`` conjuncts an index can answer: a
+    bare :class:`Eq` or the ``Eq`` operands of a top-level
+    :class:`AndP` (a null constant refutes no row, so it never counts)."""
+    operands = pred.operands if isinstance(pred, AndP) else (pred,)
+    return [
+        operand
+        for operand in operands
+        if isinstance(operand, Eq) and not is_null(operand.constant)
+    ]
 
 
 def _merge_indices(first: Sequence[int], second: Sequence[int]) -> List[int]:

@@ -90,7 +90,7 @@ from .algebra import (
     output_schema,
 )
 from .conditions import evaluate_ground, groundings
-from .evaluate import DEFAULT_LIMIT, MODE_LEAST, _pred_cond
+from .evaluate import DEFAULT_LIMIT, MODE_LEAST, _index_conjuncts, _pred_cond
 
 #: combinatorial cap on small-model satisfiability enumeration
 SAT_LIMIT = 4096
@@ -121,6 +121,9 @@ class RelationStats:
     #: attribute → verified finite superset of the column's possible
     #: values: observed constants ∪ the enumeration domain
     pools: Mapping[str, Tuple[Any, ...]]
+    #: attributes whose pool is an open surrogate (see _is_open_pool),
+    #: decided once per relation version
+    open_attributes: FrozenSet[str]
 
 
 def relation_stats(relation: Relation) -> RelationStats:
@@ -147,6 +150,9 @@ def relation_stats(relation: Relation) -> RelationStats:
         null_counts=null_counts,
         domain_sizes=domain_sizes,
         pools=pools,
+        open_attributes=frozenset(
+            a for a in attrs if _is_open_pool(pools[a])
+        ),
     )
 
 
@@ -171,6 +177,9 @@ class Facts:
     nullable: FrozenSet[str]
     #: attribute → verified finite value superset, or None (unverified)
     pools: Mapping[str, Optional[Tuple[Any, ...]]]
+    #: attributes whose pool is an open surrogate: a merged pool is open
+    #: when either side's is, so the flag travels with the pool
+    open_pools: FrozenSet[str]
     #: upper bound on output rows (None without statistics)
     est_rows: Optional[int]
     #: bound on the groundings least mode enumerates per row condition
@@ -256,6 +265,7 @@ def _facts_of(node: Node, children: Sequence[Facts], ctx: _Ctx) -> Facts:
                 attrs=attrs,
                 nullable=frozenset(attrs),
                 pools={a: None for a in attrs},
+                open_pools=frozenset(),
                 est_rows=None,
                 ground_space=1,
                 null_space=1,
@@ -274,6 +284,7 @@ def _facts_of(node: Node, children: Sequence[Facts], ctx: _Ctx) -> Facts:
                 a for a in attrs if st.null_counts.get(a, 0)
             ),
             pools={a: st.pools.get(a, ()) for a in attrs},
+            open_pools=st.open_attributes,
             est_rows=st.rows,
             ground_space=1,
             null_space=null_space,
@@ -289,6 +300,7 @@ def _facts_of(node: Node, children: Sequence[Facts], ctx: _Ctx) -> Facts:
             attrs=attrs,
             nullable=frozenset(),
             pools={a: () for a in attrs},
+            open_pools=frozenset(),
             est_rows=0,
             ground_space=1,
             null_space=1,
@@ -307,6 +319,7 @@ def _facts_of(node: Node, children: Sequence[Facts], ctx: _Ctx) -> Facts:
             attrs=child.attrs,
             nullable=child.nullable,
             pools=child.pools,
+            open_pools=child.open_pools,
             est_rows=child.est_rows,
             ground_space=space,
             null_space=child.null_space,
@@ -321,6 +334,7 @@ def _facts_of(node: Node, children: Sequence[Facts], ctx: _Ctx) -> Facts:
             attrs=attrs,
             nullable=child.nullable & frozenset(attrs),
             pools={a: child.pools.get(a) for a in attrs},
+            open_pools=child.open_pools & frozenset(attrs),
             est_rows=child.est_rows,
             ground_space=child.ground_space,
             null_space=child.null_space,
@@ -375,6 +389,7 @@ def _facts_of(node: Node, children: Sequence[Facts], ctx: _Ctx) -> Facts:
             attrs=attrs,
             nullable=frozenset(nullable),
             pools=pools,
+            open_pools=left.open_pools | right.open_pools,
             est_rows=est,
             ground_space=space,
             null_space=_cap(left.null_space * right.null_space),
@@ -402,6 +417,9 @@ def _facts_of(node: Node, children: Sequence[Facts], ctx: _Ctx) -> Facts:
             pools={
                 mapping.get(a, a): child.pools.get(a) for a in child.attrs
             },
+            open_pools=frozenset(
+                mapping.get(a, a) for a in child.open_pools
+            ),
             est_rows=child.est_rows,
             ground_space=child.ground_space,
             null_space=child.null_space,
@@ -428,6 +446,8 @@ def _facts_of(node: Node, children: Sequence[Facts], ctx: _Ctx) -> Facts:
             attrs=left.attrs,
             nullable=left.nullable | right.nullable,
             pools=pools,
+            open_pools=(left.open_pools | right.open_pools)
+            & frozenset(left.attrs),
             est_rows=est,
             ground_space=max(left.ground_space, right.ground_space),
             null_space=_cap(left.null_space * right.null_space),
@@ -448,6 +468,7 @@ def _facts_of(node: Node, children: Sequence[Facts], ctx: _Ctx) -> Facts:
             attrs=left.attrs,
             nullable=left.nullable,
             pools=left.pools,
+            open_pools=left.open_pools,
             est_rows=left.est_rows,
             ground_space=_cap(row_space * right.null_space),
             null_space=_cap(left.null_space * right.null_space),
@@ -570,7 +591,7 @@ def _select_verdict(
     verified: Dict[str, Sequence[Any]] = {}
     for attribute in refs:
         pool = child.pools.get(attribute)
-        if not pool or _is_open_pool(pool):
+        if not pool or attribute in child.open_pools:
             return None
         verified[attribute] = pool
     profile = _pred_profile(pred, verified)
@@ -626,7 +647,13 @@ def _node_label(node: Node, children: Sequence[Facts]) -> str:
     if isinstance(node, Empty):
         return f"Empty [{' '.join(node.attributes)}]"
     if isinstance(node, Select):
-        return f"Select {pred_text(node.pred)}"
+        label = f"Select {pred_text(node.pred)}"
+        if isinstance(node.source, Scan):
+            # the evaluator picks the most selective of these per query
+            keys = dict.fromkeys(c.attribute for c in _index_conjuncts(node.pred))
+            if keys:
+                label += f" access=index({' '.join(keys)})"
+        return label
     if isinstance(node, Project):
         return f"Project [{' '.join(node.attributes)}]"
     if isinstance(node, Rename):

@@ -523,17 +523,13 @@ def test_session_check_agrees_with_stateless_check(ops, fds):
     assert session.check().satisfied == reference.satisfied
 
 
-@pytest.mark.xfail(
-    reason="pre-existing engine divergence (found by the differential "
-    "above, shrunk and pinned here): once an instance is inconsistent, "
-    "the serial chase matches two NOTHING cells as equal LHS values and "
-    "keeps deriving (here C -> B turns B into NOTHING too), while the "
-    "session's indexed signature buckets skip NOTHING cells.  Both sides "
-    "agree on has_nothing — only post-inconsistency row decoration "
-    "differs.  See the ROADMAP open item on NOTHING-cell chase semantics.",
-    strict=True,
-)
 def test_nothing_cells_rechase_identically_after_inconsistency():
+    """A fill that conflicts with a constant its class already holds
+    joins the one inconsistent class, as an NS-rule conflict does, so a
+    NOTHING cell inserted later agrees with it on a left-hand side and
+    keeps deriving (here C -> B turns B into NOTHING too), exactly as a
+    from-scratch chase of the same rows does (found by the differential
+    above, shrunk and pinned here)."""
     fds = ["A -> B", "B -> C", "C -> B"]
     session = ChaseSession(SCHEMA, fds)
     session.insert(Row(SCHEMA, ["v0", "v0", "v0"]))

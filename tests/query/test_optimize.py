@@ -334,6 +334,7 @@ class TestInference:
             parse_query("r join s where C = 'c1'"), mode=MODE_LEAST
         )
         assert "Join strategy=bucket(B)" in text
+        assert "Select C = 'c1' access=index(C)" in text
         assert "keys=(A)" in text
         assert "rewrites: select-pushdown(join)" in text
         assert "Scan r" in text and "Scan s" in text
